@@ -759,8 +759,8 @@ fn compare_op_from_tag(tag: u8) -> Result<CompareOp, WireError> {
 }
 
 /// Encodes a [`SelectQuery`] — the request half of the publisher protocol
-/// (`adp-server` carries these inside `QueryRequest` frames; see
-/// `docs/PROTOCOL.md`).
+/// (`adp-server` carries these inside `Select` plans, batch items and
+/// subscriptions; see `docs/PROTOCOL.md`).
 ///
 /// Layout: key-range bounds (tagged), filter list, projection, DISTINCT
 /// flag. The encoding round-trips exactly:

@@ -43,7 +43,8 @@ impl ProxyStats {
         self.faults.load(Ordering::Relaxed)
     }
 
-    /// Payload bytes forwarded (both directions).
+    /// Payload bytes forwarded (both directions), counted as each write
+    /// starts, so the count never lags what a peer has received.
     pub fn forwarded(&self) -> u64 {
         self.forwarded.load(Ordering::Relaxed)
     }
@@ -293,10 +294,13 @@ fn forward(
     history: &mut Vec<u8>,
     stats: &ProxyStats,
 ) -> io::Result<()> {
-    dst.write_all(bytes)?;
+    // Counted before the write: the peer can react to the bytes (and a
+    // test can read the stat) as soon as they land, so the count must not
+    // lag them. A failed write tears the connection down anyway.
     stats
         .forwarded
         .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    dst.write_all(bytes)?;
     history.extend_from_slice(bytes);
     if history.len() > HISTORY_CAP {
         history.drain(..history.len() - HISTORY_CAP);

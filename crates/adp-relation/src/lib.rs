@@ -8,17 +8,18 @@
 //! supplies the relations: typed [`value::Value`]s, [`schema::Schema`]s,
 //! sorted [`table::Table`]s with replica-number duplicate handling
 //! (Section 3.1), a [`bptree::BPlusTree`] with node-visit instrumentation
-//! (for the Section 6.3 update-locality experiment), the query AST and
-//! executor for σ/π/⋈ queries (Section 4), and role-based access control
+//! (for the Section 6.3 update-locality experiment), the select query AST
+//! (key range, non-key filters, projection, DISTINCT — Section 4) with the
+//! non-key filter test and the referential-integrity check the
+//! authenticated σ/π/⋈ answers rely on, and role-based access control
 //! with query rewriting and per-role visibility columns (Figure 1 and
-//! Section 4.4).
+//! Section 4.4). Answering queries — and the joins — is `adp-core`'s job.
 //!
 //! Nothing in this crate performs authentication — `adp-core` layers the
 //! signature-chain scheme on top.
 
 pub mod access;
 pub mod bptree;
-pub mod catalog;
 pub mod exec;
 pub mod query;
 pub mod record;
@@ -28,12 +29,8 @@ pub mod value;
 
 pub use access::{AccessPolicy, Role, RolePolicy};
 pub use bptree::{BPlusTree, TreeKey, TreeStats};
-pub use catalog::Database;
-pub use exec::{
-    all_rows, apply_projection, check_referential_integrity, contiguous_runs, distinct_partition,
-    execute_pkfk_join, execute_select, passes_filters, JoinedRow, SelectOutcome, SelectedRow,
-};
-pub use query::{CompareOp, JoinQuery, KeyRange, Predicate, Projection, SelectQuery};
+pub use exec::{check_referential_integrity, passes_filters};
+pub use query::{CompareOp, KeyRange, Predicate, Projection, SelectQuery};
 pub use record::Record;
 pub use schema::{Column, Schema, SchemaError};
 pub use table::{Row, Table};

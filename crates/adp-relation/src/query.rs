@@ -1,7 +1,8 @@
 //! Query abstract syntax: selection predicates, projections, range bounds,
-//! and the select / join query forms the paper's scheme supports
-//! (Section 4: σ, π, ⋈ with primary-key/foreign-key equi-joins and band
-//! joins, plus multipoint selections on non-key attributes).
+//! and the select-project(-distinct) query form the paper's scheme
+//! authenticates (Section 4: σ and π over a key range, plus multipoint
+//! selections on non-key attributes). Joins are planned and answered in
+//! `adp-core` (`plan::WirePlan::PkFkJoin`).
 
 use crate::schema::Schema;
 use crate::value::Value;
@@ -301,22 +302,6 @@ impl SelectQuery {
     pub fn is_multipoint(&self) -> bool {
         !self.filters.is_empty()
     }
-}
-
-/// A primary-key/foreign-key equi-join `R ⋈_{R.fk = S.pk} S` with optional
-/// selections on either side (Section 4.3).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinQuery {
-    /// Foreign-key column of the outer relation R (R's sort attribute).
-    pub fk_column: String,
-    /// Primary-key column of the inner relation S (S's sort attribute).
-    pub pk_column: String,
-    /// Selection on R's foreign key.
-    pub fk_range: KeyRange,
-    /// Projection over R's columns.
-    pub r_projection: Projection,
-    /// Projection over S's columns.
-    pub s_projection: Projection,
 }
 
 #[cfg(test)]

@@ -232,28 +232,23 @@ impl RemoteClient {
         }
     }
 
-    /// Answers one query, returning the *unverified* encoded
-    /// `(result, vo)` blobs. Use [`RemoteVerifier`] unless you are
-    /// measuring or proxying.
+    /// Answers one query (sent as a `Select` plan), returning the
+    /// *unverified* encoded `(result, vo)` blobs. Use [`RemoteVerifier`]
+    /// unless you are measuring or proxying.
     pub fn query_raw(
         &mut self,
         table_id: u32,
         query: &SelectQuery,
     ) -> Result<(Vec<u8>, Vec<u8>), RemoteError> {
-        let request = Frame::QueryRequest {
+        self.query_planned_raw(&WirePlan::Select {
             table_id,
             query: query.clone(),
-        };
-        match self.call(&request)? {
-            Frame::QueryResponse { result, vo } => Ok((result, vo)),
-            Frame::Error { code, message } => Err(RemoteError::Server { code, message }),
-            _ => Err(RemoteError::UnexpectedFrame("expected QueryResponse")),
-        }
+        })
     }
 
-    /// Executes a planned query (v6 `PlannedQuery` frame), returning the
-    /// *unverified* encoded `(result, vo)` blobs. Use [`SqlSession`] or
-    /// [`RemoteVerifier::query_sql`] unless you are measuring or proxying.
+    /// Executes a plan (`PlannedQuery` frame), returning the *unverified*
+    /// encoded `(result, vo)` blobs. Use [`SqlSession`] or
+    /// [`RemoteVerifier`] unless you are measuring or proxying.
     pub fn query_planned_raw(
         &mut self,
         plan: &WirePlan,
@@ -382,31 +377,6 @@ impl RemoteVerifier {
             .collect()
     }
 
-    /// Parses, plans, executes, and verifies one SQL statement against the
-    /// bound table — the single-table convenience over [`SqlSession`]
-    /// (which also handles joins across several served tables). The
-    /// planner prices candidates with the default cost parameters and a
-    /// nominal row estimate; the *verification* is exact regardless.
-    pub fn query_sql(&mut self, sql: &str) -> Result<SqlOutcome, RemoteError> {
-        let mut catalog = Catalog::new();
-        catalog.add(CatalogTable::from_certificate(
-            self.table_id,
-            &self.cert,
-            1024,
-        ));
-        let planned = plan_sql(sql, &catalog)?;
-        let outcome = run_planned(&mut self.client, planned, |id| {
-            (id == self.table_id).then_some(&self.cert)
-        })?;
-        self.stats.queries += 1;
-        self.stats.rows_verified += outcome.rows_verified;
-        self.stats.result_bytes += outcome.result_bytes;
-        self.stats.vo_bytes += outcome.vo_bytes;
-        self.stats.signatures_verified += outcome.signatures_verified;
-        self.stats.verify_time += outcome.verify_time;
-        Ok(outcome)
-    }
-
     fn verify_and_account(
         &mut self,
         query: &SelectQuery,
@@ -433,7 +403,7 @@ impl RemoteVerifier {
     }
 }
 
-/// The verified outcome of one `query_sql` round-trip.
+/// The verified outcome of one [`SqlSession::query_sql`] round-trip.
 #[derive(Clone, Debug)]
 pub struct SqlOutcome {
     /// Finished output: verified rows after client-side residue, plus the
@@ -454,50 +424,13 @@ pub struct SqlOutcome {
     pub verify_time: Duration,
 }
 
-/// Parses and plans one statement (client-side only; no I/O).
-fn plan_sql(sql: &str, catalog: &Catalog) -> Result<Planned, RemoteError> {
-    let stmt = parse(sql).map_err(|e| RemoteError::Sql(e.to_string()))?;
-    Planner::default()
-        .plan(&stmt, catalog)
-        .map_err(|e| RemoteError::Sql(e.to_string()))
-}
-
-/// Sends the chosen plan, verifies the multi-relation VO against the
-/// trusted certificates, and applies the client-side residue.
-fn run_planned<'a, F>(
-    client: &mut RemoteClient,
-    planned: Planned,
-    cert_of: F,
-) -> Result<SqlOutcome, RemoteError>
-where
-    F: Fn(u32) -> Option<&'a Certificate>,
-{
-    let (result_bytes, vo_bytes) = client.query_planned_raw(&planned.chosen.wire)?;
-    let start = Instant::now();
-    let verified = verify_plan(&planned.chosen.wire, cert_of, &result_bytes, &vo_bytes)?;
-    let verify_time = start.elapsed();
-    let output = planned
-        .chosen
-        .finish(verified.rows)
-        .map_err(|e| RemoteError::Sql(e.to_string()))?;
-    Ok(SqlOutcome {
-        output,
-        planned,
-        result_bytes: result_bytes.len(),
-        vo_bytes: vo_bytes.len(),
-        rows_verified: verified.rows_verified,
-        signatures_verified: verified.signatures_verified,
-        verify_time,
-    })
-}
-
 /// A verifying SQL client over one connection and any number of served
 /// tables: the remote face of the `adp-core` SQL frontend.
 ///
 /// Register each table's owner certificate (with a row estimate for the
 /// cost model) and any declared referential integrity, then
 /// [`SqlSession::query_sql`]: the statement is parsed and planned
-/// locally, the **cheapest-proof** plan goes to the server as a v6
+/// locally, the **cheapest-proof** plan goes to the server as a
 /// `PlannedQuery` frame, and the multi-relation VO that comes back is
 /// verified against the certificates alone — the server is untrusted
 /// end to end, exactly as with [`RemoteVerifier`].
@@ -572,15 +505,34 @@ impl SqlSession {
     /// [`RemoteError::Verify`], never as wrong rows.
     pub fn query_sql(&mut self, sql: &str) -> Result<SqlOutcome, RemoteError> {
         let planned = self.plan(sql)?;
-        let certs = &self.certs;
-        let outcome = run_planned(&mut self.client, planned, |id| certs.get(&id))?;
+        let (result_bytes, vo_bytes) = self.client.query_planned_raw(&planned.chosen.wire)?;
+        let start = Instant::now();
+        let verified = verify_plan(
+            &planned.chosen.wire,
+            |id| self.certs.get(&id),
+            &result_bytes,
+            &vo_bytes,
+        )?;
+        let verify_time = start.elapsed();
+        let output = planned
+            .chosen
+            .finish(verified.rows)
+            .map_err(|e| RemoteError::Sql(e.to_string()))?;
         self.stats.queries += 1;
-        self.stats.rows_verified += outcome.rows_verified;
-        self.stats.result_bytes += outcome.result_bytes;
-        self.stats.vo_bytes += outcome.vo_bytes;
-        self.stats.signatures_verified += outcome.signatures_verified;
-        self.stats.verify_time += outcome.verify_time;
-        Ok(outcome)
+        self.stats.rows_verified += verified.rows_verified;
+        self.stats.result_bytes += result_bytes.len();
+        self.stats.vo_bytes += vo_bytes.len();
+        self.stats.signatures_verified += verified.signatures_verified;
+        self.stats.verify_time += verify_time;
+        Ok(SqlOutcome {
+            output,
+            planned,
+            result_bytes: result_bytes.len(),
+            vo_bytes: vo_bytes.len(),
+            rows_verified: verified.rows_verified,
+            signatures_verified: verified.signatures_verified,
+            verify_time,
+        })
     }
 }
 

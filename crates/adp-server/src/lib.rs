@@ -7,18 +7,17 @@
 //! client. Until this crate, the publisher was a library call; now the
 //! owner → publisher → client trust boundary is a real socket.
 //!
-//! * [`protocol`] — the versioned frame layer (`Ping`, `QueryRequest`,
-//!   `BatchRequest`, `Stats`, `Error`, and — since version 4 — the
-//!   log-shipping pair `FollowLog`/`LogSegment` and the subscription
-//!   frames `Subscribe`/`DeltaVo`/`Unsubscribe`), layered on the
-//!   byte-exact [`adp_core::wire`] codec. Specified in
-//!   `docs/PROTOCOL.md`.
+//! * [`protocol`] — the versioned frame layer (`Ping`, `PlannedQuery`,
+//!   `BatchRequest`, `Stats`, `Error`, the log-shipping pair
+//!   `FollowLog`/`LogSegment` and the subscription frames
+//!   `Subscribe`/`DeltaVo`/`Unsubscribe`), layered on the byte-exact
+//!   [`adp_core::wire`] codec. Specified in `docs/PROTOCOL.md`.
 //! * [`server`] — an event-driven core: epoll reactor shards own the
 //!   non-blocking listener and connection sockets (frame reassembly,
-//!   bounded write queues, idle timeouts), a worker pool runs the
-//!   queries, and an LRU **VO cache** keyed on
-//!   `(table_id, canonical query)` serves hot ranges without touching
-//!   the publisher. Thread count is bounded by shards + workers, not by
+//!   bounded write queues, idle timeouts), a worker pool answers every
+//!   read as a plan (a select or a pk-fk join), and an LRU **VO cache**
+//!   keyed on the canonical plan serves hot answers without touching the
+//!   publisher. Thread count is bounded by shards + workers, not by
 //!   connection count.
 //! * [`client`] — [`RemoteClient`] (raw frames), [`RemoteVerifier`],
 //!   which runs the unchanged `adp-core` verifier against the socket, and
@@ -86,4 +85,4 @@ pub use client::{
 pub use follow::{FollowError, FollowEvent, FollowStart, LogFollower, ResilientFollower};
 pub use protocol::{ErrorCode, Frame, ProtoError, StatsSnapshot};
 pub use retry::RetryPolicy;
-pub use server::{PlannedTamperFn, Server, ServerConfig, ServerHandle, TamperFn, UpdateError};
+pub use server::{Server, ServerConfig, ServerHandle, UpdateError};

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  0xAD 0x50
-//! 2       1     protocol version (currently 0x05)
+//! 2       1     protocol version (`VERSION`)
 //! 3       1     frame type
 //! 4       4     payload length, u32 little-endian (max 64 MiB)
 //! ```
@@ -35,7 +35,7 @@ pub const MAGIC: [u8; 2] = [0xAD, 0x50];
 /// other version byte answers with an [`ErrorCode::BadFrame`] error frame
 /// and closes the connection.
 ///
-/// Version history (see `docs/PROTOCOL.md` §9): `0x01` shipped seven
+/// Version history (see `docs/PROTOCOL.md` §14): `0x01` shipped seven
 /// stats counters; `0x02` appended the `invalidations` counter to
 /// `StatsResponse` (the VO cache is no longer static — live updates bump
 /// per-table epochs and stale entries are dropped lazily); `0x03` added
@@ -53,8 +53,11 @@ pub const MAGIC: [u8; 2] = [0xAD, 0x50];
 /// clients and graceful drain; `0x06` added planned queries — the
 /// `PlannedQuery`/`PlannedResponse` frames that carry an optimizer-chosen
 /// [`WirePlan`] (joins and narrowed scans the SQL planner produces) to
-/// the server and its multi-relation VO back.
-pub const VERSION: u8 = 0x06;
+/// the server and its multi-relation VO back; `0x07` made the plan the
+/// only single-read request — the legacy `QueryRequest`/`QueryResponse`
+/// pair (type bytes `0x03`/`0x04`) is gone, and a single-table select
+/// travels as a `Select` plan.
+pub const VERSION: u8 = 0x07;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -68,10 +71,6 @@ pub mod frame_type {
     pub const PING: u8 = 0x01;
     /// Liveness reply.
     pub const PONG: u8 = 0x02;
-    /// Single query request.
-    pub const QUERY_REQUEST: u8 = 0x03;
-    /// Single query answer.
-    pub const QUERY_RESPONSE: u8 = 0x04;
     /// Batched query request (one round-trip, N answers).
     pub const BATCH_REQUEST: u8 = 0x05;
     /// Batched query answer.
@@ -240,23 +239,9 @@ pub enum Frame {
     Ping,
     /// Reply to [`Frame::Ping`].
     Pong,
-    /// Answer one query against the table registered as `table_id`.
-    QueryRequest {
-        /// Which served table to query.
-        table_id: u32,
-        /// The select-project(-distinct) query.
-        query: SelectQuery,
-    },
-    /// Answer to [`Frame::QueryRequest`]: both blobs decode with the
-    /// `adp_core::wire` codec and feed `verify_select_wire` unchanged.
-    QueryResponse {
-        /// `wire::encode_records` bytes.
-        result: Vec<u8>,
-        /// `wire::encode_vo` bytes.
-        vo: Vec<u8>,
-    },
-    /// Answer N queries in one round-trip; the server fans the items out
-    /// across its thread pool and replies in request order.
+    /// Answer N queries in one round-trip; the server lowers each item to
+    /// a `Select` plan, fans the items out across its thread pool, and
+    /// replies in request order.
     BatchRequest {
         /// `(table_id, query)` per item.
         items: Vec<(u32, SelectQuery)>,
@@ -352,18 +337,18 @@ pub enum Frame {
         /// verified state is strictly older than this).
         epoch: u64,
     },
-    /// Execute an optimizer-chosen plan — a narrowed select or a pk-fk
-    /// join the legacy `QueryRequest` frame cannot express. Table ids
-    /// inside the plan refer to the server's registry, exactly as in
-    /// `QueryRequest`.
+    /// Execute one plan — a single-table select (what
+    /// `RemoteClient::query_raw` sends) or an optimizer-chosen pk-fk
+    /// join. Table ids inside the plan refer to the server's registry.
     PlannedQuery {
         /// The plan to execute (`adp_core::plan::encode_wire_plan`).
         plan: WirePlan,
     },
     /// Answer to [`Frame::PlannedQuery`]. For a `Select` plan the blobs
-    /// are the `QueryResponse` encodings; for a `PkFkJoin` plan they are
-    /// `wire::encode_join_result` / `wire::encode_join_vo` bytes, feeding
-    /// `adp_core::plan::verify_plan` unchanged.
+    /// are `wire::encode_records` / `wire::encode_vo` bytes, feeding
+    /// `verify_select_wire` unchanged; for a `PkFkJoin` plan they are
+    /// `wire::encode_join_result` / `wire::encode_join_vo` bytes. Both
+    /// feed `adp_core::plan::verify_plan` unchanged.
     PlannedResponse {
         /// Encoded result rows (shape depends on the plan).
         result: Vec<u8>,
@@ -378,8 +363,6 @@ impl Frame {
         match self {
             Frame::Ping => frame_type::PING,
             Frame::Pong => frame_type::PONG,
-            Frame::QueryRequest { .. } => frame_type::QUERY_REQUEST,
-            Frame::QueryResponse { .. } => frame_type::QUERY_RESPONSE,
             Frame::BatchRequest { .. } => frame_type::BATCH_REQUEST,
             Frame::BatchResponse { .. } => frame_type::BATCH_RESPONSE,
             Frame::StatsRequest => frame_type::STATS_REQUEST,
@@ -458,14 +441,6 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
     let mut w = Writer::new();
     match frame {
         Frame::Ping | Frame::Pong | Frame::StatsRequest => {}
-        Frame::QueryRequest { table_id, query } => {
-            w.u32(*table_id);
-            w.bytes(&wire::encode_query(query));
-        }
-        Frame::QueryResponse { result, vo } => {
-            w.bytes(result);
-            w.bytes(vo);
-        }
         Frame::BatchRequest { items } => {
             w.u32(items.len() as u32);
             for (table_id, query) in items {
@@ -597,15 +572,6 @@ pub fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError
     let frame = match type_byte {
         frame_type::PING => Frame::Ping,
         frame_type::PONG => Frame::Pong,
-        frame_type::QUERY_REQUEST => {
-            let table_id = r.u32()?;
-            let query = wire::decode_query(r.bytes()?)?;
-            Frame::QueryRequest { table_id, query }
-        }
-        frame_type::QUERY_RESPONSE => Frame::QueryResponse {
-            result: r.bytes()?.to_vec(),
-            vo: r.bytes()?.to_vec(),
-        },
         frame_type::BATCH_REQUEST => {
             let n = r.u32()? as usize;
             if n > 1 << 16 {
@@ -798,19 +764,6 @@ fn write_header(w: &mut impl Write, type_byte: u8, payload_len: usize) -> io::Re
     w.write_all(&header)
 }
 
-/// Writes a `QueryResponse` frame straight from borrowed blobs — the
-/// cache-hit hot path: no intermediate [`Frame`] and no blob copies, the
-/// slices go directly to the socket. Byte-identical to
-/// `write_frame(&Frame::QueryResponse { .. })`.
-pub fn write_query_response(w: &mut impl Write, result: &[u8], vo: &[u8]) -> io::Result<()> {
-    write_header(w, frame_type::QUERY_RESPONSE, 8 + result.len() + vo.len())?;
-    w.write_all(&(result.len() as u32).to_le_bytes())?;
-    w.write_all(result)?;
-    w.write_all(&(vo.len() as u32).to_le_bytes())?;
-    w.write_all(vo)?;
-    w.flush()
-}
-
 /// A borrowed batch-response item for [`write_batch_response`].
 pub type BatchItemRef<'a> = Result<(&'a [u8], &'a [u8]), (ErrorCode, &'a str)>;
 
@@ -861,14 +814,6 @@ mod tests {
         vec![
             Frame::Ping,
             Frame::Pong,
-            Frame::QueryRequest {
-                table_id: 7,
-                query: SelectQuery::range(KeyRange::closed(2_000, 9_000)),
-            },
-            Frame::QueryResponse {
-                result: vec![1, 2, 3],
-                vo: vec![4, 5],
-            },
             Frame::BatchRequest {
                 items: vec![
                     (0, SelectQuery::range(KeyRange::all())),
@@ -1001,16 +946,6 @@ mod tests {
     fn borrowed_writers_match_owned_frames_byte_for_byte() {
         let (result, vo) = (vec![1u8, 2, 3], vec![4u8, 5]);
         let mut direct = Vec::new();
-        write_query_response(&mut direct, &result, &vo).unwrap();
-        assert_eq!(
-            direct,
-            encode_frame(&Frame::QueryResponse {
-                result: result.clone(),
-                vo: vo.clone()
-            })
-        );
-
-        let mut direct = Vec::new();
         write_batch_response(
             &mut direct,
             &[
@@ -1037,7 +972,7 @@ mod tests {
     fn ping_frame_fixed_vector_matches_protocol_doc() {
         assert_eq!(
             encode_frame(&Frame::Ping),
-            vec![0xAD, 0x50, 0x06, 0x01, 0, 0, 0, 0]
+            vec![0xAD, 0x50, 0x07, 0x01, 0, 0, 0, 0]
         );
     }
 
@@ -1070,10 +1005,10 @@ mod tests {
     #[test]
     fn bad_version_rejected() {
         // Older versions are refused too: the StatsResponse layout
-        // changed in v2, v3, v4, and v5, and v6 added frame types a v5
-        // peer would reject, so a v6 speaker must not silently accept
-        // earlier peers.
-        for old in [0x01, 0x02, 0x03, 0x04, 0x05] {
+        // changed in v2, v3, v4, and v5, v6 added frame types a v5 peer
+        // would reject, and v7 removed frame types a v6 peer still sends,
+        // so a v7 speaker must not silently accept earlier peers.
+        for old in [0x01, 0x02, 0x03, 0x04, 0x05, 0x06] {
             let mut bytes = encode_frame(&Frame::Ping);
             bytes[2] = old;
             assert!(matches!(
@@ -1085,12 +1020,15 @@ mod tests {
 
     #[test]
     fn unknown_frame_type_rejected() {
-        let mut bytes = encode_frame(&Frame::Ping);
-        bytes[3] = 0xEE;
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(ProtoError::UnknownFrameType(0xEE))
-        ));
+        // 0x03/0x04 were QueryRequest/QueryResponse until version 7.
+        for t in [0x03, 0x04, 0xEE] {
+            let mut bytes = encode_frame(&Frame::Ping);
+            bytes[3] = t;
+            assert!(matches!(
+                decode_frame(&bytes),
+                Err(ProtoError::UnknownFrameType(u)) if u == t
+            ));
+        }
     }
 
     #[test]
@@ -1119,9 +1057,11 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let frame = Frame::QueryRequest {
-            table_id: 0,
-            query: SelectQuery::range(KeyRange::all()),
+        let frame = Frame::PlannedQuery {
+            plan: WirePlan::Select {
+                table_id: 0,
+                query: SelectQuery::range(KeyRange::all()),
+            },
         };
         let mut bytes = encode_frame(&frame);
         // Grow the payload and fix up the declared length: decoders must

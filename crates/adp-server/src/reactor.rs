@@ -10,10 +10,11 @@
 //!   reassembly buffer, frame parsing, non-blocking writes out of a
 //!   bounded per-connection chunk queue, timeouts. Cheap frames (`Ping`,
 //!   `StatsRequest`) are answered in place.
-//! * **Workers do crypto** — `QueryRequest`/`BatchRequest` items run on
-//!   the shared [`ThreadPool`]; the finished answer comes back to the
-//!   owning shard as a [`Msg::Complete`] through the shard's injection
-//!   queue plus a wake byte on its socketpair.
+//! * **Workers do crypto** — `PlannedQuery` frames and `BatchRequest`
+//!   items (lowered to select plans as they are parsed) run through the
+//!   one [`answer`] on the shared [`ThreadPool`]; the finished answer
+//!   comes back to the owning shard as a [`Msg::Complete`] through the
+//!   shard's injection queue plus a wake byte on its socketpair.
 //!
 //! Per-connection ordering matches the old thread-per-connection server
 //! exactly: parsed requests queue in arrival order and at most one query
@@ -35,10 +36,11 @@ use crate::protocol::{
     self, encode_frame, frame_type, ErrorCode, Frame, StatsSnapshot, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::server::{
-    answer, answer_planned, encode_batch_frame, follow_job, lock_recover, subscribe_job,
-    AnswerBlob, BatchAnswer, Inner, ServerConfig, ServerStats,
+    answer, encode_batch_frame, follow_job, lock_recover, subscribe_job, AnswerBlob, BatchAnswer,
+    Inner, ServerConfig, ServerStats,
 };
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use adp_core::plan::WirePlan;
 use adp_relation::SelectQuery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -149,26 +151,16 @@ impl WriteChunk {
     }
 }
 
-/// A `QueryResponse` frame as chunks, byte-identical to
-/// `protocol::write_query_response` but borrowing the blobs.
-fn query_response_chunks(blob: &AnswerBlob) -> Vec<WriteChunk> {
-    response_chunks(frame_type::QUERY_RESPONSE, blob)
-}
-
-/// A `PlannedResponse` frame as chunks (same two-blob payload layout).
-fn planned_response_chunks(blob: &AnswerBlob) -> Vec<WriteChunk> {
-    response_chunks(frame_type::PLANNED_RESPONSE, blob)
-}
-
-fn response_chunks(type_byte: u8, blob: &AnswerBlob) -> Vec<WriteChunk> {
+/// A `PlannedResponse` frame as chunks, byte-identical to
+/// `encode_frame(&Frame::PlannedResponse { .. })` but borrowing the blobs.
+fn response_chunks(blob: &AnswerBlob) -> Vec<WriteChunk> {
     let (result_len, vo_len) = (blob.0.len(), blob.1.len());
-    // `answer` / `answer_planned` already bounded result+vo+8 by
-    // MAX_PAYLOAD.
+    // `answer` already bounded result+vo+8 by MAX_PAYLOAD.
     let payload_len = (8 + result_len + vo_len) as u32;
     let mut head = Vec::with_capacity(HEADER_LEN + 4);
     head.extend_from_slice(&MAGIC);
     head.push(VERSION);
-    head.push(type_byte);
+    head.push(frame_type::PLANNED_RESPONSE);
     head.extend_from_slice(&payload_len.to_le_bytes());
     head.extend_from_slice(&(result_len as u32).to_le_bytes());
     vec![
@@ -189,16 +181,8 @@ fn response_chunks(type_byte: u8, blob: &AnswerBlob) -> Vec<WriteChunk> {
 enum Req {
     Ping,
     Stats,
-    Query {
-        table_id: u32,
-        query: SelectQuery,
-    },
-    Planned {
-        plan: adp_core::plan::WirePlan,
-    },
-    Batch {
-        items: Vec<(u32, SelectQuery)>,
-    },
+    Plan(WirePlan),
+    Batch(Vec<WirePlan>),
     Subscribe {
         sub_id: u32,
         table_id: u32,
@@ -908,10 +892,12 @@ fn parse_frames(core: &ShardCore, conn: &mut Conn) {
                         conn.pending.push_back(match frame {
                             Frame::Ping => Req::Ping,
                             Frame::StatsRequest => Req::Stats,
-                            Frame::QueryRequest { table_id, query } => {
-                                Req::Query { table_id, query }
-                            }
-                            Frame::BatchRequest { items } => Req::Batch { items },
+                            Frame::BatchRequest { items } => Req::Batch(
+                                items
+                                    .into_iter()
+                                    .map(|(table_id, query)| WirePlan::Select { table_id, query })
+                                    .collect(),
+                            ),
                             Frame::Subscribe {
                                 sub_id,
                                 table_id,
@@ -925,9 +911,8 @@ fn parse_frames(core: &ShardCore, conn: &mut Conn) {
                             Frame::FollowLog { table_id, have } => {
                                 Req::FollowLog { table_id, have }
                             }
-                            Frame::PlannedQuery { plan } => Req::Planned { plan },
+                            Frame::PlannedQuery { plan } => Req::Plan(plan),
                             Frame::Pong
-                            | Frame::QueryResponse { .. }
                             | Frame::BatchResponse { .. }
                             | Frame::StatsResponse(_)
                             | Frame::Error { .. }
@@ -1020,29 +1005,17 @@ fn pump(core: &ShardCore, conn: &mut Conn, token: u64) {
 /// worker thread alive, but a panic escaping the job still swallows the
 /// completion message — the connection's in-flight marker then never
 /// clears and its request FIFO wedges forever. Catching here turns a
-/// panicking query (a publisher bug, a poisoned-and-recovered structure in
-/// a weird state) into an ordinary per-query error that completes back to
-/// the shard like any other.
-fn answer_guarded(
-    inner: &Inner,
-    table_id: u32,
-    query: &SelectQuery,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        answer(inner, table_id, query)
-    }))
-    .unwrap_or_else(|_| Err((ErrorCode::Internal, "query panicked".into())))
-}
-
-/// [`answer_planned`] with the same panic guard as [`answer_guarded`]
-/// (the join path in particular panics on a referential-integrity
-/// violation between the two served tables).
-fn answer_planned_guarded(
-    inner: &Inner,
-    plan: &adp_core::plan::WirePlan,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer_planned(inner, plan)))
-        .unwrap_or_else(|_| Err((ErrorCode::Internal, "planned query panicked".into())))
+/// panicking query (a publisher bug, a referential-integrity violation
+/// between two joined tables, a poisoned-and-recovered structure in a
+/// weird state) into an ordinary per-query error that completes back to
+/// the shard like any other. Every error is counted in the `errors` stat.
+fn answer_guarded(inner: &Inner, plan: &WirePlan) -> BatchAnswer {
+    let item = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer(inner, plan)))
+        .unwrap_or_else(|_| Err((ErrorCode::Internal, "query panicked".into())));
+    if item.is_err() {
+        ServerStats::bump(&inner.stats.errors);
+    }
+    item
 }
 
 /// Drains the connection's request FIFO: cheap frames answer in place;
@@ -1095,38 +1068,13 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                 );
                 conn.close_after_flush = true;
             }
-            Req::Query { table_id, query } => {
+            Req::Plan(plan) => {
                 conn.inflight = true;
                 let inner = Arc::clone(&core.inner);
                 let shard = Arc::clone(&core.me);
                 core.pool.execute(move || {
-                    let item = answer_guarded(&inner, table_id, &query);
-                    if item.is_err() {
-                        ServerStats::bump(&inner.stats.errors);
-                    }
-                    let chunks = match item {
-                        Ok(blob) => query_response_chunks(&blob),
-                        Err((code, message)) => {
-                            vec![WriteChunk::owned(encode_frame(&Frame::Error {
-                                code,
-                                message,
-                            }))]
-                        }
-                    };
-                    shard.push(Msg::Complete(token, chunks));
-                });
-            }
-            Req::Planned { plan } => {
-                conn.inflight = true;
-                let inner = Arc::clone(&core.inner);
-                let shard = Arc::clone(&core.me);
-                core.pool.execute(move || {
-                    let item = answer_planned_guarded(&inner, &plan);
-                    if item.is_err() {
-                        ServerStats::bump(&inner.stats.errors);
-                    }
-                    let chunks = match item {
-                        Ok(blob) => planned_response_chunks(&blob),
+                    let chunks = match answer_guarded(&inner, &plan) {
+                        Ok(blob) => response_chunks(&blob),
                         Err((code, message)) => {
                             vec![WriteChunk::owned(encode_frame(&Frame::Error {
                                 code,
@@ -1185,28 +1133,25 @@ fn dispatch(core: &ShardCore, conn: &mut Conn, token: u64) {
                     );
                 }
             }
-            Req::Batch { items } => {
+            Req::Batch(plans) => {
                 ServerStats::bump(&core.inner.stats.batches);
-                if items.is_empty() {
+                if plans.is_empty() {
                     let bytes = encode_batch_frame(&core.inner, &[]);
                     push_chunks(core, conn, vec![WriteChunk::owned(bytes)]);
                     continue;
                 }
                 conn.inflight = true;
                 let state = Arc::new(BatchState {
-                    slots: Mutex::new((0..items.len()).map(|_| None).collect()),
-                    remaining: AtomicUsize::new(items.len()),
+                    slots: Mutex::new((0..plans.len()).map(|_| None).collect()),
+                    remaining: AtomicUsize::new(plans.len()),
                     token,
                     shard: Arc::clone(&core.me),
                     inner: Arc::clone(&core.inner),
                 });
-                for (index, (table_id, query)) in items.into_iter().enumerate() {
+                for (index, plan) in plans.into_iter().enumerate() {
                     let state = Arc::clone(&state);
                     core.pool.execute(move || {
-                        let item = answer_guarded(&state.inner, table_id, &query);
-                        if item.is_err() {
-                            ServerStats::bump(&state.inner.stats.errors);
-                        }
+                        let item = answer_guarded(&state.inner, &plan);
                         lock_recover(&state.slots)[index] = Some(item);
                         if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                             let answers: Vec<BatchAnswer> = lock_recover(&state.slots)

@@ -1,8 +1,8 @@
-//! The event-driven publisher server: answers
-//! [`QueryRequest`](crate::protocol::Frame::QueryRequest) and
-//! [`BatchRequest`](crate::protocol::Frame::BatchRequest) frames against
-//! its registered [`SignedTable`]s, and serves hot ranges from the VO
-//! cache.
+//! The event-driven publisher server: answers every read — a
+//! [`PlannedQuery`](crate::protocol::Frame::PlannedQuery) frame or a
+//! [`BatchRequest`](crate::protocol::Frame::BatchRequest) item, which
+//! lowers to a select plan — through one [`WirePlan`] path against its
+//! registered [`SignedTable`]s, and serves hot answers from the VO cache.
 //!
 //! Concurrency model (no async runtime in this environment — a hand-rolled
 //! epoll readiness loop in the private `reactor` module):
@@ -15,9 +15,9 @@
 //!   is never on a reactor thread); answers complete back to the owning
 //!   shard, which writes them in request order per connection.
 //!
-//! The **VO cache** is an LRU keyed on `(table_id, canonical query)`: the
-//! key range is normalized against the table's domain first (so `K < 100`
-//! and `K ≤ 99` are one entry) and the cached value is the already-encoded
+//! The **VO cache** is an LRU keyed on the canonical plan: a select's key
+//! range is normalized against the table's domain first (so `K < 100` and
+//! `K ≤ 99` are one entry) and the cached value is the already-encoded
 //! `(result, vo)` pair — a hit bypasses the publisher *and* the codec.
 //! Hit/miss counters are exported through [`Frame::StatsRequest`].
 
@@ -32,7 +32,7 @@ use adp_core::plan::{
 };
 use adp_core::publisher::Publisher;
 use adp_core::vo::QueryVO;
-use adp_core::wire::{self, Writer};
+use adp_core::wire;
 use adp_crypto::Signature;
 use adp_relation::{KeyRange, Record, SelectQuery};
 use adp_store::log::{encode_record, LogRecord};
@@ -175,25 +175,22 @@ impl ServerStats {
     }
 }
 
-/// A response-tampering hook: receives the honest answer and returns what
-/// actually goes on the wire.
+/// The one fault-injection slot: receives the plan, the tables it
+/// resolved to, and the honest [`PlanAnswer`], and returns what actually
+/// goes on the wire. [`Server::set_tamper`] and
+/// [`Server::set_tamper_planned`] both mount onto it (composing when both
+/// are used).
 ///
 /// This exists for *fault injection*: integration tests mount the
 /// Section 3.2 cheating strategies here to prove the remote verifier
 /// rejects every forgery arriving through a real socket (see
 /// `tests/remote_attack_matrix.rs`). A tampering server bypasses the VO
 /// cache so forged and honest answers never mix.
-pub type TamperFn = dyn for<'a> Fn(&Publisher<'a>, &SelectQuery, Vec<Record>, QueryVO) -> (Vec<Record>, QueryVO)
-    + Send
-    + Sync;
+type Tamper = dyn Fn(&WirePlan, &[Resolved], PlanAnswer) -> PlanAnswer + Send + Sync;
 
-/// A response-tampering hook for the planned-query path: receives the
-/// plan and the honest [`PlanAnswer`] and returns what actually goes on
-/// the wire. Same fault-injection role as [`TamperFn`], but for the v6
-/// `PlannedQuery` frames (join and narrowed-scan shapes the legacy hook
-/// never sees). A server with this hook mounted bypasses the VO cache on
-/// the planned path.
-pub type PlannedTamperFn = dyn Fn(&WirePlan, PlanAnswer) -> PlanAnswer + Send + Sync;
+/// A table a plan touches, resolved at answer time: its wire id, the
+/// served snapshot, and that snapshot's epoch.
+type Resolved = (u32, Arc<SignedTable>, u64);
 
 /// Encoded `(result, vo)` pair as cached and written to sockets.
 pub(crate) type AnswerBlob = Arc<(Vec<u8>, Vec<u8>)>;
@@ -206,9 +203,10 @@ struct TableSlot {
     epoch: u64,
 }
 
-/// A cached answer, valid only while its table stays at `epoch`.
+/// A cached answer, valid only while every table its plan touches stays
+/// at the recorded epoch (in the plan's table order).
 struct CachedAnswer {
-    epoch: u64,
+    epochs: Vec<u64>,
     blob: AnswerBlob,
 }
 
@@ -284,8 +282,7 @@ pub(crate) struct Inner {
     /// `reconnects` stat). Grows with distinct ids, not connections.
     seen_subs: Mutex<std::collections::HashSet<(u32, u32)>>,
     pub(crate) stats: ServerStats,
-    tamper: Option<Box<TamperFn>>,
-    planned_tamper: Option<Box<PlannedTamperFn>>,
+    tamper: Option<Box<Tamper>>,
     /// [`ServerConfig::max_push_bytes`], checked on the fan-out path.
     max_push_bytes: usize,
 }
@@ -347,172 +344,75 @@ impl Inner {
     }
 }
 
-/// Cache key for the legacy query path: `(table_id, canonical query)`.
-/// The range is replaced by its domain-normalized closed form so
-/// syntactically different ranges with identical semantics share an
-/// entry; trivially-empty ranges collapse to one key per (filters,
-/// projection, distinct) combination.
-///
-/// The leading kind byte (`0x01` legacy, `0x02` planned) keeps the two
-/// key families disjoint: without it, a planned `Select` over the same
-/// canonical range could collide with a legacy entry even though the two
-/// responses use different frame encodings.
-fn cache_key(table_id: u32, st: &SignedTable, query: &SelectQuery) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(0x01);
-    w.u32(table_id);
-    let canonical = match st.domain().normalize(&query.range) {
-        Some(bounds) => {
-            w.u8(1);
-            SelectQuery {
-                range: KeyRange::closed(bounds.alpha, bounds.beta),
-                ..query.clone()
-            }
-        }
-        None => {
-            w.u8(0);
-            SelectQuery {
-                range: KeyRange::all(),
-                ..query.clone()
-            }
-        }
+/// The VO-cache key of a plan. A `Select` key carries the table id and
+/// the query with its range replaced by the domain-normalized closed form,
+/// so syntactically different ranges with identical semantics (`K < 100`
+/// and `K ≤ 99`) share an entry and trivially-empty ranges collapse to one
+/// key per (filters, projection, distinct) combination. Any other plan is
+/// keyed by its canonical fingerprint, so two *distinct* plans over the
+/// same key range (different filters, projections, DISTINCT, or shape)
+/// never share an entry. Epochs are not part of the key: the cached value
+/// records them (see [`answer`]).
+fn cache_key(plan: &WirePlan, tables: &[Resolved]) -> Vec<u8> {
+    let WirePlan::Select { table_id, query } = plan else {
+        return plan.fingerprint();
     };
-    w.bytes(&wire::encode_query(&canonical));
-    w.into_bytes()
-}
-
-/// Cache key for the planned-query path: kind byte `0x02`, the epoch of
-/// every table the plan touches, then the plan's canonical fingerprint.
-/// Two *distinct* plans over the same key range (different filters,
-/// projections, DISTINCT, or shape) therefore never share an entry —
-/// their fingerprints differ — and entries from a superseded epoch can
-/// never be returned: the key itself moves on with the epoch, so a stale
-/// entry simply ages out of the LRU.
-fn planned_cache_key(plan: &WirePlan, slots: &[(u32, Arc<SignedTable>, u64)]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(0x02);
-    w.u32(slots.len() as u32);
-    for (id, _, epoch) in slots {
-        w.u32(*id);
-        w.u64(*epoch);
+    // A non-empty range normalizes to closed bounds, so the unbounded
+    // `KeyRange::all()` can only stand for the empty range here.
+    let range = match tables[0].1.domain().normalize(&query.range) {
+        Some(b) => KeyRange::closed(b.alpha, b.beta),
+        None => KeyRange::all(),
+    };
+    WirePlan::Select {
+        table_id: *table_id,
+        query: SelectQuery {
+            range,
+            ..query.clone()
+        },
     }
-    w.bytes(&plan.fingerprint());
-    w.into_bytes()
+    .fingerprint()
 }
 
-/// Answers one planned query (the v6 `PlannedQuery` frame): resolves
-/// every table the plan references, consults the VO cache under the
-/// plan-fingerprint key, computes the (select or pk-fk join) answer, and
-/// encodes it with [`encode_plan_answer`]. Mirrors [`answer`], with the
-/// planned tamper hook in place of the legacy one.
-pub(crate) fn answer_planned(
-    inner: &Inner,
-    plan: &WirePlan,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    let ids: Vec<u32> = match plan {
+/// Answers one plan — a single-table select or a pk-fk join — the only
+/// read request the server serves: resolves every table the plan touches,
+/// consults the VO cache unless a tamper hook is mounted, computes the
+/// answer, and encodes it with [`encode_plan_answer`]. Cached answers
+/// record the epoch of every table their plan touches; an entry whose
+/// tables moved on since (an applied update) is dropped lazily here and
+/// counted as an invalidation.
+pub(crate) fn answer(inner: &Inner, plan: &WirePlan) -> Result<AnswerBlob, (ErrorCode, String)> {
+    let ids = match plan {
         WirePlan::Select { table_id, .. } => vec![*table_id],
         WirePlan::PkFkJoin {
             fk_table, pk_table, ..
         } => vec![*fk_table, *pk_table],
     };
-    let slots: Vec<(u32, Arc<SignedTable>, u64)> = {
-        let tables = read_recover(&inner.tables);
-        let mut slots = Vec::with_capacity(ids.len());
-        for id in ids {
-            let slot = tables
-                .get(&id)
-                .ok_or_else(|| (ErrorCode::UnknownTable, format!("no table with id {id}")))?;
-            slots.push((id, Arc::clone(&slot.st), slot.epoch));
-        }
-        slots
+    let tables: Vec<Resolved> = {
+        let registry = read_recover(&inner.tables);
+        ids.into_iter()
+            .map(|id| {
+                let slot = registry
+                    .get(&id)
+                    .ok_or_else(|| (ErrorCode::UnknownTable, format!("no table with id {id}")))?;
+                Ok((id, Arc::clone(&slot.st), slot.epoch))
+            })
+            .collect::<Result<_, _>>()?
     };
-    let cache = inner
-        .cache
-        .as_ref()
-        .filter(|_| inner.tamper.is_none() && inner.planned_tamper.is_none());
-    let key = cache.map(|_| planned_cache_key(plan, &slots));
-    if let (Some(cache), Some(key)) = (cache, &key) {
-        // Epochs live in the key, so any hit is current by construction.
-        if let Some(hit) = lock_recover(cache).get(key) {
-            ServerStats::bump(&inner.stats.cache_hits);
-            ServerStats::bump(&inner.stats.queries);
-            return Ok(Arc::clone(&hit.blob));
-        }
-        ServerStats::bump(&inner.stats.cache_misses);
-    }
-    let resolve = |id: u32| {
-        slots
-            .iter()
-            .find(|(i, _, _)| *i == id)
-            .map(|(_, st, _)| &**st)
-    };
-    let answer = compute_plan_answer(plan, resolve).map_err(|e| match e {
-        PlanAnswerError::UnknownTable(id) => {
-            (ErrorCode::UnknownTable, format!("no table with id {id}"))
-        }
-        PlanAnswerError::Publish(e) => (ErrorCode::BadQuery, e.to_string()),
-    })?;
-    let answer = match &inner.planned_tamper {
-        Some(tamper) => tamper(plan, answer),
-        None => answer,
-    };
-    let (result, vo) = encode_plan_answer(&answer);
-    let blob: AnswerBlob = Arc::new((result, vo));
-    let framed_len = blob.0.len() as u64 + blob.1.len() as u64 + 8;
-    if framed_len > crate::protocol::MAX_PAYLOAD as u64 {
-        return Err((
-            ErrorCode::Internal,
-            format!("answer of {framed_len} bytes exceeds the frame payload cap"),
-        ));
-    }
-    if let (Some(key), Some(cache)) = (key, cache) {
-        lock_recover(cache).insert(
-            key,
-            CachedAnswer {
-                // Unused on this path: freshness is part of the key.
-                epoch: 0,
-                blob: Arc::clone(&blob),
-            },
-        );
-    }
-    ServerStats::bump(&inner.stats.queries);
-    Ok(blob)
-}
-
-/// Answers one query, consulting the VO cache unless a tamper hook is
-/// mounted. Cached answers carry the table epoch they were computed at;
-/// a stale entry (its table was updated since) is dropped lazily here and
-/// counted as an invalidation.
-pub(crate) fn answer(
-    inner: &Inner,
-    table_id: u32,
-    query: &SelectQuery,
-) -> Result<AnswerBlob, (ErrorCode, String)> {
-    let (st, epoch) = {
-        let tables = read_recover(&inner.tables);
-        let slot = tables.get(&table_id).ok_or_else(|| {
-            (
-                ErrorCode::UnknownTable,
-                format!("no table with id {table_id}"),
-            )
-        })?;
-        (Arc::clone(&slot.st), slot.epoch)
-    };
-    let st = &*st;
+    let epochs: Vec<u64> = tables.iter().map(|t| t.2).collect();
     // The cache is consulted iff it is configured and no tamper hook is
     // mounted (forged and honest answers must never mix).
     let cache = inner.cache.as_ref().filter(|_| inner.tamper.is_none());
-    let key = cache.map(|_| cache_key(table_id, st, query));
+    let key = cache.map(|_| cache_key(plan, &tables));
     if let (Some(cache), Some(key)) = (cache, &key) {
         let mut cache = lock_recover(cache);
         match cache.get(key) {
-            Some(hit) if hit.epoch == epoch => {
+            Some(hit) if hit.epochs == epochs => {
                 ServerStats::bump(&inner.stats.cache_hits);
                 ServerStats::bump(&inner.stats.queries);
                 return Ok(Arc::clone(&hit.blob));
             }
             Some(_) => {
-                // Stale: the table moved on since this was cached.
+                // Stale: a table moved on since this was cached.
                 cache.remove(key);
                 ServerStats::bump(&inner.stats.invalidations);
                 ServerStats::bump(&inner.stats.cache_misses);
@@ -520,15 +420,18 @@ pub(crate) fn answer(
             None => ServerStats::bump(&inner.stats.cache_misses),
         }
     }
-    let publisher = Publisher::new(st);
-    let (result, vo) = publisher
-        .answer_select(query)
-        .map_err(|e| (ErrorCode::BadQuery, e.to_string()))?;
-    let (result, vo) = match &inner.tamper {
-        Some(tamper) => tamper(&publisher, query, result, vo),
-        None => (result, vo),
+    let resolve = |id: u32| tables.iter().find(|t| t.0 == id).map(|t| &*t.1);
+    let answer = compute_plan_answer(plan, resolve).map_err(|e| match e {
+        PlanAnswerError::UnknownTable(id) => {
+            (ErrorCode::UnknownTable, format!("no table with id {id}"))
+        }
+        PlanAnswerError::Publish(e) => (ErrorCode::BadQuery, e.to_string()),
+    })?;
+    let answer = match &inner.tamper {
+        Some(tamper) => tamper(plan, &tables, answer),
+        None => answer,
     };
-    let blob: AnswerBlob = Arc::new((wire::encode_records(&result), wire::encode_vo(&vo)));
+    let blob: AnswerBlob = Arc::new(encode_plan_answer(&answer));
     // An answer that cannot fit one frame must not reach the write path
     // (write_frame would error and desync nothing, but the client deserves
     // a per-query error instead of a dropped connection).
@@ -540,12 +443,12 @@ pub(crate) fn answer(
         ));
     }
     if let (Some(key), Some(cache)) = (key, cache) {
-        // If the table was updated while we computed, the recorded epoch
-        // is already stale and the next lookup will drop the entry.
+        // If a table was updated while we computed, the recorded epochs
+        // are already stale and the next lookup will drop the entry.
         lock_recover(cache).insert(
             key,
             CachedAnswer {
-                epoch,
+                epochs,
                 blob: Arc::clone(&blob),
             },
         );
@@ -570,8 +473,7 @@ pub struct Server {
     config: ServerConfig,
     tables: HashMap<u32, TableSlot>,
     stores: HashMap<u32, Store>,
-    tamper: Option<Box<TamperFn>>,
-    planned_tamper: Option<Box<PlannedTamperFn>>,
+    tamper: Option<Box<Tamper>>,
 }
 
 impl Server {
@@ -582,7 +484,6 @@ impl Server {
             tables: HashMap::new(),
             stores: HashMap::new(),
             tamper: None,
-            planned_tamper: None,
         }
     }
 
@@ -639,8 +540,10 @@ impl Server {
         self
     }
 
-    /// Mounts a fault-injection hook applied to every answer before it is
-    /// encoded (see [`TamperFn`]); disables the VO cache.
+    /// Mounts a fault-injection hook on `Select` answers: it receives the
+    /// table's publisher, the query, and the honest rows and VO, and
+    /// returns what goes on the wire (join answers pass through). Disables
+    /// the VO cache. Composes with [`Server::set_tamper_planned`].
     pub fn set_tamper(
         &mut self,
         tamper: impl for<'a> Fn(&Publisher<'a>, &SelectQuery, Vec<Record>, QueryVO) -> (Vec<Record>, QueryVO)
@@ -648,17 +551,34 @@ impl Server {
             + Sync
             + 'static,
     ) -> &mut Self {
-        self.tamper = Some(Box::new(tamper));
-        self
+        self.mount_tamper(Box::new(move |plan, tables, answer| match (plan, answer) {
+            (WirePlan::Select { query, .. }, PlanAnswer::Select { rows, vo }) => {
+                let (rows, vo) = tamper(&Publisher::new(&tables[0].1), query, rows, vo);
+                PlanAnswer::Select { rows, vo }
+            }
+            (_, answer) => answer,
+        }))
     }
 
-    /// Mounts a fault-injection hook on the planned-query path (see
-    /// [`PlannedTamperFn`]); disables the VO cache for planned answers.
+    /// Mounts a fault-injection hook on every answer, select or join: it
+    /// receives the plan and the honest [`PlanAnswer`] and returns what
+    /// goes on the wire. Disables the VO cache. Composes with
+    /// [`Server::set_tamper`].
     pub fn set_tamper_planned(
         &mut self,
         tamper: impl Fn(&WirePlan, PlanAnswer) -> PlanAnswer + Send + Sync + 'static,
     ) -> &mut Self {
-        self.planned_tamper = Some(Box::new(tamper));
+        self.mount_tamper(Box::new(move |plan, _, answer| tamper(plan, answer)))
+    }
+
+    /// Puts `hook` into the tamper slot, after any hook already there.
+    fn mount_tamper(&mut self, hook: Box<Tamper>) -> &mut Self {
+        self.tamper = Some(match self.tamper.take() {
+            None => hook,
+            Some(first) => Box::new(move |plan, tables, answer| {
+                hook(plan, tables, first(plan, tables, answer))
+            }),
+        });
         self
     }
 
@@ -679,7 +599,6 @@ impl Server {
             seen_subs: Mutex::new(std::collections::HashSet::new()),
             stats: ServerStats::default(),
             tamper: self.tamper,
-            planned_tamper: self.planned_tamper,
             max_push_bytes: self.config.max_push_bytes,
         });
         let pool = Arc::new(ThreadPool::new(self.config.workers));
@@ -1284,7 +1203,6 @@ mod tests {
             seen_subs: Mutex::new(std::collections::HashSet::new()),
             stats: ServerStats::default(),
             tamper: None,
-            planned_tamper: None,
             max_push_bytes: crate::protocol::MAX_PAYLOAD as usize,
         }
     }
@@ -1316,9 +1234,9 @@ mod tests {
         .join();
         // Requests still serve end to end: registry lookup, cache
         // miss/insert, then a cache hit, then a stats snapshot.
-        let q = SelectQuery::range(KeyRange::closed(0, 100));
-        answer(&inner, 0, &q).expect("first answer after poisoning");
-        answer(&inner, 0, &q).expect("second answer after poisoning");
+        let plan = select(SelectQuery::range(KeyRange::closed(0, 100)));
+        answer(&inner, &plan).expect("first answer after poisoning");
+        answer(&inner, &plan).expect("second answer after poisoning");
         let snap = inner.snapshot();
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
@@ -1326,32 +1244,30 @@ mod tests {
         assert_eq!(snap.cache_entries, 1);
     }
 
+    fn select(query: SelectQuery) -> WirePlan {
+        WirePlan::Select { table_id: 0, query }
+    }
+
     /// Regression: two *distinct* plans over the same key range must never
-    /// share a cached VO. The planned key is the plan fingerprint (plus
-    /// epochs), and the legacy key family is disjoint by its kind byte —
-    /// so a legacy query, a planned plain select, and a planned DISTINCT
-    /// select over the identical canonical range produce three cache
-    /// entries and zero cross-hits.
+    /// share a cached VO, while one plan spelled two ways must. A plain
+    /// select, a DISTINCT select and a (self-)join over the identical
+    /// canonical range produce three cache entries and zero cross-hits; a
+    /// select over an equivalent range spelling hits the plain entry.
     #[test]
     fn distinct_plans_over_same_range_never_share_a_cached_vo() {
         let inner = Arc::new(test_inner());
-        let range = KeyRange::closed(0, 100);
-        let q = SelectQuery::range(range);
+        let q = SelectQuery::range(KeyRange::closed(0, 100));
 
-        let legacy = answer(&inner, 0, &q).unwrap();
-        let plain = answer_planned(
+        let plain = answer(&inner, &select(q.clone())).unwrap();
+        let distinct = answer(&inner, &select(q.clone().distinct())).unwrap();
+        let join = answer(
             &inner,
-            &WirePlan::Select {
-                table_id: 0,
-                query: q.clone(),
-            },
-        )
-        .unwrap();
-        let distinct = answer_planned(
-            &inner,
-            &WirePlan::Select {
-                table_id: 0,
-                query: q.clone().distinct(),
+            &WirePlan::PkFkJoin {
+                fk_table: 0,
+                pk_table: 0,
+                fk_range: q.range,
+                fk_projection: adp_relation::Projection::All,
+                pk_projection: adp_relation::Projection::All,
             },
         )
         .unwrap();
@@ -1362,15 +1278,13 @@ mod tests {
         assert_eq!(snap.cache_entries, 3);
         // Each answer was computed independently — no shared blob.
         assert!(!Arc::ptr_eq(&plain, &distinct));
-        assert!(!Arc::ptr_eq(&legacy, &plain));
+        assert!(!Arc::ptr_eq(&plain, &join));
 
-        // Re-asking each is a hit on its own entry, still no crosstalk.
-        let plain2 = answer_planned(
+        // `K < 101` is `0 ≤ K ≤ 100` under the domain: a hit on the plain
+        // entry, still no crosstalk.
+        let plain2 = answer(
             &inner,
-            &WirePlan::Select {
-                table_id: 0,
-                query: q.clone(),
-            },
+            &select(SelectQuery::range(KeyRange::less_than(101))),
         )
         .unwrap();
         assert!(Arc::ptr_eq(&plain, &plain2));

@@ -5,6 +5,7 @@
 //! must come back in order, and thread count must not scale with
 //! connection count.
 
+use adp_core::plan::WirePlan;
 use adp_core::prelude::*;
 use adp_relation::{Column, KeyRange, Record, Schema, SelectQuery, Table, Value, ValueType};
 use adp_server::protocol::{encode_frame, read_frame, ErrorCode, Frame};
@@ -44,6 +45,16 @@ fn serve(config: ServerConfig) -> ServerHandle {
     let mut server = Server::new(config);
     server.add_table(0, signed_table(10, 8));
     server.serve("127.0.0.1:0").unwrap()
+}
+
+/// A `PlannedQuery` frame selecting `range` of table 0.
+fn select_frame(range: KeyRange) -> Vec<u8> {
+    encode_frame(&Frame::PlannedQuery {
+        plan: WirePlan::Select {
+            table_id: 0,
+            query: SelectQuery::range(range),
+        },
+    })
 }
 
 /// Polls the server's stats until `pred` holds or the deadline passes.
@@ -124,10 +135,7 @@ fn mid_payload_stall_hits_frame_deadline() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
-    let frame = encode_frame(&Frame::QueryRequest {
-        table_id: 0,
-        query: SelectQuery::range(KeyRange::all()),
-    });
+    let frame = select_frame(KeyRange::all());
     // Header plus half the payload, then silence.
     stream
         .write_all(&frame[..8 + (frame.len() - 8) / 2])
@@ -189,10 +197,7 @@ fn non_draining_client_is_reaped() {
     let handle = server.serve("127.0.0.1:0").unwrap();
 
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    let frame = encode_frame(&Frame::QueryRequest {
-        table_id: 0,
-        query: SelectQuery::range(KeyRange::all()),
-    });
+    let frame = select_frame(KeyRange::all());
     let mut burst = Vec::new();
     for _ in 0..16 {
         burst.extend_from_slice(&frame);
@@ -226,10 +231,7 @@ fn pipelined_requests_answered_in_order() {
         .unwrap();
 
     let mut burst = encode_frame(&Frame::Ping);
-    burst.extend_from_slice(&encode_frame(&Frame::QueryRequest {
-        table_id: 0,
-        query: SelectQuery::range(KeyRange::all()),
-    }));
+    burst.extend_from_slice(&select_frame(KeyRange::all()));
     burst.extend_from_slice(&encode_frame(&Frame::Ping));
     burst.extend_from_slice(&encode_frame(&Frame::StatsRequest));
     stream.write_all(&burst).unwrap();
@@ -237,8 +239,8 @@ fn pipelined_requests_answered_in_order() {
 
     assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong);
     match read_frame(&mut stream).unwrap() {
-        Frame::QueryResponse { result, .. } => assert!(!result.is_empty()),
-        other => panic!("expected QueryResponse, got {other:?}"),
+        Frame::PlannedResponse { result, .. } => assert!(!result.is_empty()),
+        other => panic!("expected PlannedResponse, got {other:?}"),
     }
     assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong);
     match read_frame(&mut stream).unwrap() {
@@ -286,10 +288,7 @@ fn burst_with_query_resumes_parsing_after_completion() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
-    let mut burst = encode_frame(&Frame::QueryRequest {
-        table_id: 0,
-        query: SelectQuery::range(KeyRange::all()),
-    });
+    let mut burst = select_frame(KeyRange::all());
     let ping = encode_frame(&Frame::Ping);
     for _ in 0..100 {
         burst.extend_from_slice(&ping);
@@ -298,8 +297,8 @@ fn burst_with_query_resumes_parsing_after_completion() {
     stream.flush().unwrap();
 
     match read_frame(&mut stream).unwrap() {
-        Frame::QueryResponse { result, .. } => assert!(!result.is_empty()),
-        other => panic!("expected QueryResponse, got {other:?}"),
+        Frame::PlannedResponse { result, .. } => assert!(!result.is_empty()),
+        other => panic!("expected PlannedResponse, got {other:?}"),
     }
     for i in 0..100 {
         assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong, "reply {i}");
@@ -394,10 +393,7 @@ fn panicking_query_answers_error_and_connection_survives() {
         .unwrap();
 
     stream
-        .write_all(&encode_frame(&Frame::QueryRequest {
-            table_id: 0,
-            query: SelectQuery::range(KeyRange::closed(666, 777)),
-        }))
+        .write_all(&select_frame(KeyRange::closed(666, 777)))
         .unwrap();
     match read_frame(&mut stream).unwrap() {
         Frame::Error { code, message } => {
@@ -409,15 +405,10 @@ fn panicking_query_answers_error_and_connection_survives() {
 
     // The connection is not wedged: the very next query on the same
     // socket answers, and so does a ping.
-    stream
-        .write_all(&encode_frame(&Frame::QueryRequest {
-            table_id: 0,
-            query: SelectQuery::range(KeyRange::all()),
-        }))
-        .unwrap();
+    stream.write_all(&select_frame(KeyRange::all())).unwrap();
     match read_frame(&mut stream).unwrap() {
-        Frame::QueryResponse { result, .. } => assert!(!result.is_empty()),
-        other => panic!("expected QueryResponse, got {other:?}"),
+        Frame::PlannedResponse { result, .. } => assert!(!result.is_empty()),
+        other => panic!("expected PlannedResponse, got {other:?}"),
     }
     stream.write_all(&encode_frame(&Frame::Ping)).unwrap();
     assert_eq!(read_frame(&mut stream).unwrap(), Frame::Pong);

@@ -5,6 +5,7 @@
 //! protocol violations with an `Error` frame where a reply is possible,
 //! and must keep serving well-formed clients afterwards.
 
+use adp_core::plan::WirePlan;
 use adp_core::prelude::*;
 use adp_relation::{Column, KeyRange, Record, Schema, SelectQuery, Table, Value, ValueType};
 use adp_server::protocol::{decode_frame, encode_frame, read_frame, ErrorCode, Frame, ProtoError};
@@ -118,13 +119,16 @@ fn oversized_length_prefix_rejected_without_allocation() {
 
 #[test]
 fn unknown_frame_type_rejected() {
-    let mut bytes = encode_frame(&Frame::Ping);
-    bytes[3] = 0xEE;
-    match send_raw(&bytes).unwrap() {
-        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
-        other => panic!("expected Error frame, got {other:?}"),
+    // 0x03/0x04 were QueryRequest/QueryResponse until version 7.
+    for t in [0x03, 0x04, 0xEE] {
+        let mut bytes = encode_frame(&Frame::Ping);
+        bytes[3] = t;
+        match send_raw(&bytes).unwrap() {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+            other => panic!("expected Error frame, got {other:?}"),
+        }
+        assert_still_serving();
     }
-    assert_still_serving();
 }
 
 #[test]
@@ -142,9 +146,11 @@ fn wrong_direction_frame_rejected() {
 }
 
 fn sample_request_bytes() -> Vec<u8> {
-    encode_frame(&Frame::QueryRequest {
-        table_id: 0,
-        query: SelectQuery::range(KeyRange::closed(10, 60)),
+    encode_frame(&Frame::PlannedQuery {
+        plan: WirePlan::Select {
+            table_id: 0,
+            query: SelectQuery::range(KeyRange::closed(10, 60)),
+        },
     })
 }
 

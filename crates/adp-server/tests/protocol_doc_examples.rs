@@ -5,21 +5,21 @@
 
 use adp_core::wire;
 use adp_relation::{KeyRange, SelectQuery, Value};
-use adp_server::protocol::{decode_frame, encode_frame, DeltaPiece, Frame};
+use adp_server::protocol::{decode_frame, encode_frame, BatchItem, DeltaPiece, Frame};
 use adp_server::ErrorCode;
 
 /// PROTOCOL.md §2 "Frame header" — the smallest possible frame.
 #[test]
 fn ping_frame_example() {
     let bytes = encode_frame(&Frame::Ping);
-    assert_eq!(bytes, [0xAD, 0x50, 0x06, 0x01, 0x00, 0x00, 0x00, 0x00]);
+    assert_eq!(bytes, [0xAD, 0x50, 0x07, 0x01, 0x00, 0x00, 0x00, 0x00]);
 }
 
 /// PROTOCOL.md §2 — pong differs only in the frame-type byte.
 #[test]
 fn pong_frame_example() {
     let bytes = encode_frame(&Frame::Pong);
-    assert_eq!(bytes, [0xAD, 0x50, 0x06, 0x02, 0x00, 0x00, 0x00, 0x00]);
+    assert_eq!(bytes, [0xAD, 0x50, 0x07, 0x02, 0x00, 0x00, 0x00, 0x00]);
 }
 
 /// PROTOCOL.md §4 "Values" — canonical value encodings (shared with the
@@ -34,23 +34,24 @@ fn value_encoding_examples() {
     assert_eq!(Value::Bool(true).encode(), [0x04, 0x01]);
 }
 
-/// PROTOCOL.md §5 "QueryRequest" — the full worked example: table 7,
-/// `SELECT * WHERE 2000 ≤ K ≤ 9000`.
+/// PROTOCOL.md §5 "BatchRequest" — the full worked example: one item,
+/// table 7, `SELECT * WHERE 2000 ≤ K ≤ 9000`. The server lowers the item
+/// to a `Select` plan (§13).
 #[test]
-fn query_request_frame_example() {
-    let frame = Frame::QueryRequest {
-        table_id: 7,
-        query: SelectQuery::range(KeyRange::closed(2_000, 9_000)),
+fn batch_request_frame_example() {
+    let frame = Frame::BatchRequest {
+        items: vec![(7, SelectQuery::range(KeyRange::closed(2_000, 9_000)))],
     };
     let bytes = encode_frame(&frame);
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
         0xAD, 0x50,             // magic
-        0x06,                   // version
-        0x03,                   // frame type: QueryRequest
-        0x20, 0x00, 0x00, 0x00, // payload length = 32
+        0x07,                   // version
+        0x05,                   // frame type: BatchRequest
+        0x24, 0x00, 0x00, 0x00, // payload length = 36
         // payload
+        0x01, 0x00, 0x00, 0x00, // item_count = 1
         0x07, 0x00, 0x00, 0x00, // table_id = 7
         0x18, 0x00, 0x00, 0x00, // query blob length = 24
         // query blob
@@ -64,25 +65,41 @@ fn query_request_frame_example() {
     assert_eq!(decode_frame(&bytes).unwrap(), frame);
 }
 
-/// PROTOCOL.md §6 "QueryResponse" — the response to a trivially-empty
-/// query: zero records, a `TriviallyEmpty` VO.
+/// PROTOCOL.md §6 "BatchResponse" — two items: the answer to a
+/// trivially-empty query (zero records, a `TriviallyEmpty` VO) and a
+/// per-item unknown-table error.
 #[test]
-fn query_response_frame_example() {
-    let frame = Frame::QueryResponse {
-        result: wire::encode_records(&[]),
-        vo: wire::encode_vo(&adp_core::vo::QueryVO::TriviallyEmpty),
+fn batch_response_frame_example() {
+    let frame = Frame::BatchResponse {
+        items: vec![
+            BatchItem::Ok {
+                result: wire::encode_records(&[]),
+                vo: wire::encode_vo(&adp_core::vo::QueryVO::TriviallyEmpty),
+            },
+            BatchItem::Err {
+                code: ErrorCode::UnknownTable,
+                message: "no table with id 9".into(),
+            },
+        ],
     };
     let bytes = encode_frame(&frame);
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x04, // magic, version, QueryResponse
-        0x0D, 0x00, 0x00, 0x00, // payload length = 13
+        0xAD, 0x50, 0x07, 0x06, // magic, version, BatchResponse
+        0x2A, 0x00, 0x00, 0x00, // payload length = 42
         // payload
-        0x04, 0x00, 0x00, 0x00, // result blob length = 4
-        0x00, 0x00, 0x00, 0x00, //   encode_records([]): 0 records
-        0x01, 0x00, 0x00, 0x00, // vo blob length = 1
-        0x00,                   //   encode_vo(TriviallyEmpty): tag 0
+        0x02, 0x00, 0x00, 0x00, // item_count = 2
+        0x00,                   // item 0 tag: ok
+        0x04, 0x00, 0x00, 0x00, //   result blob length = 4
+        0x00, 0x00, 0x00, 0x00, //     encode_records([]): 0 records
+        0x01, 0x00, 0x00, 0x00, //   vo blob length = 1
+        0x00,                   //     encode_vo(TriviallyEmpty): tag 0
+        0x01,                   // item 1 tag: error
+        0x02,                   //   code: UnknownTable
+        0x12, 0x00, 0x00, 0x00, //   message length = 18
+        b'n', b'o', b' ', b't', b'a', b'b', b'l', b'e', b' ',
+        b'w', b'i', b't', b'h', b' ', b'i', b'd', b' ', b'9',
     ];
     assert_eq!(bytes, expected);
     assert_eq!(decode_frame(&bytes).unwrap(), frame);
@@ -99,7 +116,7 @@ fn error_frame_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x09, // magic, version, Error
+        0xAD, 0x50, 0x07, 0x09, // magic, version, Error
         0x17, 0x00, 0x00, 0x00, // payload length = 23
         // payload
         0x02,                   // code: UnknownTable
@@ -123,7 +140,7 @@ fn frame_deadline_error_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x09, // magic, version, Error
+        0xAD, 0x50, 0x07, 0x09, // magic, version, Error
         0x1C, 0x00, 0x00, 0x00, // payload length = 28
         // payload
         0x01,                   // code: BadFrame
@@ -145,7 +162,7 @@ fn frame_deadline_error_example() {
 fn stats_frames_example() {
     assert_eq!(
         encode_frame(&Frame::StatsRequest),
-        [0xAD, 0x50, 0x06, 0x07, 0x00, 0x00, 0x00, 0x00]
+        [0xAD, 0x50, 0x07, 0x07, 0x00, 0x00, 0x00, 0x00]
     );
     let frame = Frame::StatsResponse(adp_server::StatsSnapshot {
         connections: 1,
@@ -167,7 +184,7 @@ fn stats_frames_example() {
     });
     let bytes = encode_frame(&frame);
     assert_eq!(bytes.len(), 8 + 16 * 8);
-    assert_eq!(bytes[..8], [0xAD, 0x50, 0x06, 0x08, 0x80, 0x00, 0x00, 0x00]);
+    assert_eq!(bytes[..8], [0xAD, 0x50, 0x07, 0x08, 0x80, 0x00, 0x00, 0x00]);
     // The §7 worked example's first counters: connections = 1, queries = 2.
     assert_eq!(bytes[8..16], 1u64.to_le_bytes());
     assert_eq!(bytes[16..24], 2u64.to_le_bytes());
@@ -193,7 +210,7 @@ fn follow_log_frame_examples() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x0A, // magic, version, FollowLog
+        0xAD, 0x50, 0x07, 0x0A, // magic, version, FollowLog
         0x05, 0x00, 0x00, 0x00, // payload length = 5
         // payload
         0x07, 0x00, 0x00, 0x00, // table_id = 7
@@ -210,7 +227,7 @@ fn follow_log_frame_examples() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x0A, // magic, version, FollowLog
+        0xAD, 0x50, 0x07, 0x0A, // magic, version, FollowLog
         0x0D, 0x00, 0x00, 0x00, // payload length = 13
         // payload
         0x07, 0x00, 0x00, 0x00, // table_id = 7
@@ -233,7 +250,7 @@ fn log_segment_frame_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x0B, // magic, version, LogSegment
+        0xAD, 0x50, 0x07, 0x0B, // magic, version, LogSegment
         0x08, 0x00, 0x00, 0x00, // payload length = 8
         // payload
         0x07, 0x00, 0x00, 0x00, // table_id = 7
@@ -244,7 +261,7 @@ fn log_segment_frame_example() {
 }
 
 /// PROTOCOL.md §10 "Subscribe" — subscription 1 on table 7 watching
-/// `2000 ≤ K ≤ 9000` (the same query blob as the §5 example).
+/// `2000 ≤ K ≤ 9000` (the same query blob as the §3 example).
 #[test]
 fn subscribe_frame_example() {
     let frame = Frame::Subscribe {
@@ -256,7 +273,7 @@ fn subscribe_frame_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x0D, // magic, version, Subscribe
+        0xAD, 0x50, 0x07, 0x0D, // magic, version, Subscribe
         0x24, 0x00, 0x00, 0x00, // payload length = 36
         // payload
         0x01, 0x00, 0x00, 0x00, // sub_id = 1
@@ -290,7 +307,7 @@ fn delta_vo_frame_examples() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x0E, // magic, version, DeltaVo
+        0xAD, 0x50, 0x07, 0x0E, // magic, version, DeltaVo
         0x2D, 0x00, 0x00, 0x00, // payload length = 45
         // payload
         0x01, 0x00, 0x00, 0x00, // sub_id = 1
@@ -316,7 +333,7 @@ fn delta_vo_frame_examples() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x0E, // magic, version, DeltaVo
+        0xAD, 0x50, 0x07, 0x0E, // magic, version, DeltaVo
         0x10, 0x00, 0x00, 0x00, // payload length = 16
         // payload
         0x01, 0x00, 0x00, 0x00, // sub_id = 1
@@ -340,7 +357,7 @@ fn resync_required_frame_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x10, // magic, version, ResyncRequired
+        0xAD, 0x50, 0x07, 0x10, // magic, version, ResyncRequired
         0x0C, 0x00, 0x00, 0x00, // payload length = 12
         // payload
         0x01, 0x00, 0x00, 0x00, // sub_id = 1
@@ -358,7 +375,7 @@ fn unsubscribe_frame_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x0F, // magic, version, Unsubscribe
+        0xAD, 0x50, 0x07, 0x0F, // magic, version, Unsubscribe
         0x04, 0x00, 0x00, 0x00, // payload length = 4
         // payload
         0x01, 0x00, 0x00, 0x00, // sub_id = 1
@@ -367,10 +384,10 @@ fn unsubscribe_frame_example() {
     assert_eq!(decode_frame(&bytes).unwrap(), frame);
 }
 
-/// PROTOCOL.md §12 "PlannedQuery" (version 6) — the worked example: the
+/// PROTOCOL.md §13 "PlannedQuery" (version 6) — the worked example: the
 /// optimizer-chosen single-table plan for
 /// `SELECT * FROM t WHERE 2000 <= K <= 9000` against table 7. The plan
-/// blob nests the same 24-byte query blob as the §5 QueryRequest example.
+/// blob nests the same 24-byte query blob as the §3 example.
 #[test]
 fn planned_query_frame_example() {
     let frame = Frame::PlannedQuery {
@@ -384,7 +401,7 @@ fn planned_query_frame_example() {
     let expected: &[u8] = &[
         // header
         0xAD, 0x50,             // magic
-        0x06,                   // version
+        0x07,                   // version
         0x11,                   // frame type: PlannedQuery
         0x25, 0x00, 0x00, 0x00, // payload length = 37
         // payload
@@ -393,7 +410,7 @@ fn planned_query_frame_example() {
         0x01,                   // plan tag: Select
         0x07, 0x00, 0x00, 0x00, // table_id = 7
         0x18, 0x00, 0x00, 0x00, // query blob length = 24
-        // query blob (identical to the §5 example)
+        // query blob (identical to the §3 example)
         0x01, 0xD0, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lo: Included(2000)
         0x01, 0x28, 0x23, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // hi: Included(9000)
         0x00, 0x00, 0x00, 0x00, // 0 filters
@@ -404,7 +421,7 @@ fn planned_query_frame_example() {
     assert_eq!(decode_frame(&bytes).unwrap(), frame);
 }
 
-/// PROTOCOL.md §12 "PlannedQuery" — the join plan: emp (table 0, the fk
+/// PROTOCOL.md §13 "PlannedQuery" — the join plan: emp (table 0, the fk
 /// side) joined into dept (table 1) over fk keys `[10, 20]`, all columns
 /// from the fk side, only `dname` from the pk side.
 #[test]
@@ -422,7 +439,7 @@ fn planned_join_frame_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x11, // magic, version, PlannedQuery
+        0xAD, 0x50, 0x07, 0x11, // magic, version, PlannedQuery
         0x2E, 0x00, 0x00, 0x00, // payload length = 46
         // payload
         0x2A, 0x00, 0x00, 0x00, // plan blob length = 42
@@ -442,9 +459,8 @@ fn planned_join_frame_example() {
     assert_eq!(decode_frame(&bytes).unwrap(), frame);
 }
 
-/// PROTOCOL.md §12 "PlannedResponse" — same shape as a QueryResponse
-/// (two length-prefixed blobs) under frame type 0x12; shown here for a
-/// trivially-empty select plan.
+/// PROTOCOL.md §13 "PlannedResponse" — two length-prefixed blobs under
+/// frame type 0x12; shown here for a trivially-empty select plan.
 #[test]
 fn planned_response_frame_example() {
     let frame = Frame::PlannedResponse {
@@ -455,7 +471,7 @@ fn planned_response_frame_example() {
     #[rustfmt::skip]
     let expected: &[u8] = &[
         // header
-        0xAD, 0x50, 0x06, 0x12, // magic, version, PlannedResponse
+        0xAD, 0x50, 0x07, 0x12, // magic, version, PlannedResponse
         0x0D, 0x00, 0x00, 0x00, // payload length = 13
         // payload
         0x04, 0x00, 0x00, 0x00, // result blob length = 4

@@ -7,11 +7,11 @@
 //! than being saved by a codec error).
 //!
 //! Cells mirror `adp-core/tests/attack_matrix.rs` for the three
-//! select-query shapes the legacy query frame carries. Applicability is
-//! asserted, not assumed: an attack the tamper harness refuses on an
-//! expected-applicable shape fails the test. The protocol-v6 planned
-//! path (SQL joins and aggregates) gets its own forgery leg in
-//! [`planned_sql_forgeries`] below.
+//! select-query shapes `RemoteVerifier::select` sends (as `Select`
+//! plans, through the `set_tamper` adapter). Applicability is asserted,
+//! not assumed: an attack the tamper harness refuses on an
+//! expected-applicable shape fails the test. SQL joins and aggregates get
+//! their own forgery leg in [`planned_sql_forgeries`] below.
 
 use adp_core::prelude::*;
 use adp_core::publisher::malicious::{tamper, Attack};
@@ -381,7 +381,7 @@ mod forged_replication {
 
 // --------------------------------------------------------------------------
 // Forged planned answers: the Section 3.2 cheating strategies replayed
-// against the protocol-v6 `PlannedQuery` path — SQL joins and aggregates
+// against `PlannedQuery` answers — SQL joins and aggregates
 // planned client-side, answered by a server whose `set_tamper_planned`
 // hook forges the un-encoded `PlanAnswer` before it hits the wire. Every
 // forgery must surface as `RemoteError::Verify` on the `SqlSession`,

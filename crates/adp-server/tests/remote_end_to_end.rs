@@ -3,6 +3,7 @@
 //! every honest answer, and the VO cache reports hits for repeated (and
 //! semantically-identical) queries.
 
+use adp_core::plan::WirePlan;
 use adp_core::prelude::*;
 use adp_relation::{
     Column, CompareOp, KeyRange, Predicate, Record, Schema, SelectQuery, Table, Value, ValueType,
@@ -174,11 +175,28 @@ fn vo_cache_hits_on_repeated_and_equivalent_queries() {
     let third = user.select(&equivalent).unwrap();
     assert_eq!(first.rows, third.rows);
 
+    // Every read is a plan: a batch item and an explicit `Select` plan
+    // of the same canonical query land on the same entry.
+    let batched = user.select_batch(std::slice::from_ref(&q)).unwrap();
+    assert_eq!(first.rows, batched[0].rows);
+    let (result, vo) = user
+        .client_mut()
+        .query_planned_raw(&WirePlan::Select {
+            table_id: 0,
+            query: q.clone(),
+        })
+        .unwrap();
+    assert_eq!(result.len(), first.result_bytes);
+    assert_eq!(vo.len(), first.vo_bytes);
+
     let stats = user.client_mut().stats().unwrap();
     assert_eq!(stats.cache_misses, 1, "one publisher run");
-    assert!(stats.cache_hits >= 2, "repeat + equivalent both hit");
+    assert!(
+        stats.cache_hits >= 4,
+        "repeat, equivalent, batch item, plan all hit"
+    );
     assert_eq!(stats.cache_entries, 1);
-    assert_eq!(stats.queries, 3);
+    assert_eq!(stats.queries, 5);
 
     handle.shutdown();
 }

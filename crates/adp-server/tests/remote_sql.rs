@@ -1,5 +1,5 @@
 //! SQL over the wire: a `SqlSession` plans statements locally, ships the
-//! cheapest-proof plan as a protocol-v6 `PlannedQuery` frame, and verifies
+//! cheapest-proof plan as a `PlannedQuery` frame, and verifies
 //! the multi-relation VO that comes back against owner certificates alone.
 //! The suite pins the acceptance bar for the planner: the chosen plan's VO
 //! must be *measurably smaller* than the naive full-domain plan's on the
@@ -7,7 +7,7 @@
 
 use adp_core::prelude::*;
 use adp_relation::{check_referential_integrity, Column, Record, Schema, Table, Value, ValueType};
-use adp_server::{RemoteClient, RemoteError, RemoteVerifier, Server, SqlSession};
+use adp_server::{RemoteClient, RemoteError, Server, SqlSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
@@ -281,21 +281,6 @@ fn session_stats_accumulate_and_cache_serves_repeats() {
     let server_stats = s.client_mut().stats().unwrap();
     assert_eq!(server_stats.cache_misses, 1, "identical plan re-served");
     assert!(server_stats.cache_hits >= 1);
-
-    handle.shutdown();
-}
-
-#[test]
-fn single_table_query_sql_convenience_on_remote_verifier() {
-    let handle = start_server();
-    let fix = fixture();
-    let mut user = RemoteVerifier::connect(handle.addr(), fix.dept_cert.clone(), 1).unwrap();
-
-    let out = user
-        .query_sql("SELECT dname FROM dept WHERE dept BETWEEN 20 AND 40")
-        .unwrap();
-    assert_eq!(out.output.rows.len(), 3);
-    assert_eq!(user.stats().queries, 1);
 
     handle.shutdown();
 }

@@ -9,9 +9,10 @@
 //! from disk alone and the post-update state still verifies. Tampered
 //! update batches — in flight or in the on-disk log — are rejected.
 
+use adp_core::plan::WirePlan;
 use adp_core::prelude::*;
 use adp_relation::{Column, KeyRange, Record, Schema, SelectQuery, Table, Value, ValueType};
-use adp_server::{RemoteVerifier, Server, ServerConfig, UpdateError};
+use adp_server::{RemoteVerifier, Server, ServerConfig, SqlSession, UpdateError};
 use adp_store::{Store, StoreError, LOG_FILE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -171,6 +172,102 @@ fn ingest_update_restart_verify_over_socket() {
     fs::write(&log_path, &pristine).unwrap();
 
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A cached pk-fk join answer records the epochs of *both* tables: an
+/// update to either one drops the entry on the next lookup (counted as an
+/// invalidation), and the recomputed join verifies against the new state.
+#[test]
+fn cached_join_is_invalidated_by_an_update_on_either_table() {
+    let mut rng = StdRng::seed_from_u64(0x701E);
+    let owner = Owner::new(512, &mut rng);
+    let emp_row = |id: i64, dept: i64| Record::new(vec![Value::Int(id), Value::Int(dept)]);
+    let dept_row = |dept: i64| Record::new(vec![Value::Int(dept), Value::from(format!("d{dept}"))]);
+    let mut emp = Table::new(
+        "emp",
+        Schema::new(
+            vec![
+                Column::new("id", ValueType::Int),
+                Column::new("dept", ValueType::Int),
+            ],
+            "dept",
+        ),
+    );
+    for (id, dept) in [(1, 10), (2, 10), (3, 20), (4, 30)] {
+        emp.insert(emp_row(id, dept)).unwrap();
+    }
+    let mut dept = Table::new(
+        "dept",
+        Schema::new(
+            vec![
+                Column::new("dept", ValueType::Int),
+                Column::new("dname", ValueType::Text),
+            ],
+            "dept",
+        ),
+    );
+    for d in [10, 20, 30] {
+        dept.insert(dept_row(d)).unwrap();
+    }
+    let sign = |t| {
+        owner
+            .sign_table(t, Domain::new(0, 1_000), SchemeConfig::default())
+            .unwrap()
+    };
+    let (mut emp_st, mut dept_st) = (sign(emp), sign(dept));
+    let (emp_dir, dept_dir) = (workdir("join-emp"), workdir("join-dept"));
+    Store::create(&emp_dir, emp_st.clone()).unwrap();
+    Store::create(&dept_dir, dept_st.clone()).unwrap();
+
+    let mut server = Server::new(ServerConfig::default());
+    server.open_store(0, &emp_dir).unwrap();
+    server.open_store(1, &dept_dir).unwrap();
+    let handle = server.serve("127.0.0.1:0").unwrap();
+    let mut s = SqlSession::connect(handle.addr()).unwrap();
+    s.add_table(0, owner.certificate(&emp_st), 4);
+    s.add_table(1, owner.certificate(&dept_st), 3);
+    s.declare_fk("emp", "dept");
+
+    let sql = "SELECT * FROM emp INNER JOIN dept ON emp.dept = dept.dept \
+               WHERE emp.dept BETWEEN 10 AND 20";
+    let join_rows = |s: &mut SqlSession| {
+        let out = s.query_sql(sql).expect("join verifies");
+        assert!(matches!(out.planned.chosen.wire, WirePlan::PkFkJoin { .. }));
+        out.output.rows.len()
+    };
+    assert_eq!(join_rows(&mut s), 3);
+    assert_eq!(join_rows(&mut s), 3);
+    let stats = s.client_mut().stats().unwrap();
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits, stats.invalidations),
+        (1, 1, 0)
+    );
+
+    // pk side: a new, unreferenced department.
+    let report = owner
+        .apply_batch(&mut dept_st, vec![Mutation::Insert(dept_row(40))])
+        .unwrap();
+    handle
+        .apply_update(1, &report.ops, &report.resigned)
+        .expect("dept update applies");
+    assert_eq!(join_rows(&mut s), 3);
+    let stats = s.client_mut().stats().unwrap();
+    assert_eq!((stats.cache_misses, stats.invalidations), (2, 1));
+
+    // fk side: one more employee in dept 20.
+    let report = owner
+        .apply_batch(&mut emp_st, vec![Mutation::Insert(emp_row(5, 20))])
+        .unwrap();
+    handle
+        .apply_update(0, &report.ops, &report.resigned)
+        .expect("emp update applies");
+    assert_eq!(join_rows(&mut s), 4);
+    let stats = s.client_mut().stats().unwrap();
+    assert_eq!((stats.cache_misses, stats.invalidations), (3, 2));
+
+    handle.shutdown();
+    fs::remove_dir_all(&emp_dir).unwrap();
+    fs::remove_dir_all(&dept_dir).unwrap();
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //!
 //! An owner signs two related tables (employees keyed by their department
 //! foreign key, departments keyed by id), an untrusted publisher serves
-//! them over the protocol-v6 wire, and a [`adp::server::SqlSession`] —
+//! them over the wire, and a [`adp::server::SqlSession`] —
 //! holding nothing but the owner certificates — plans each statement
 //! locally, ships the cheapest-proof plan as a `PlannedQuery` frame, and
 //! verifies the answer before showing a single row. Along the way it
@@ -119,7 +119,7 @@ fn main() {
     let emp_cert = owner.certificate(&emp);
     let dept_cert = owner.certificate(&dept);
 
-    // --- The untrusted publisher: a live server on the v6 protocol. ----
+    // --- The untrusted publisher: a live server. -----------------------
     let mut server = Server::new(ServerConfig::default());
     server.add_shared_table(0, Arc::new(emp));
     server.add_shared_table(1, Arc::new(dept));
