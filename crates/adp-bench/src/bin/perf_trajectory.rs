@@ -55,6 +55,7 @@ pub const EXPECTED_BENCHES: &[&str] = &[
 // Sampling and the calibrated-median estimator are shared with the
 // baseline_compare harness so the two snapshot families stay comparable.
 use adp_bench::measure_ns as measure;
+use adp_bench::measure_setup_ns as measure_setup;
 use adp_bench::perf_samples as samples;
 
 fn keypair(bits: usize, seed: u64) -> Keypair {
@@ -185,7 +186,8 @@ fn run_benches() -> Vec<(String, f64)> {
         );
 
         // log_replay: the publisher-side mirror — verify and splice 8
-        // logged batches (2 mutations each) without the signing key.
+        // logged batches (2 mutations each) without the signing key. Each
+        // call replays into its own clone of `base`, made untimed.
         let mut replay_src = base.clone();
         let records: Vec<LogRecord> = (0..8u64)
             .map(|seq| {
@@ -209,13 +211,16 @@ fn run_benches() -> Vec<(String, f64)> {
             .collect();
         record(
             "store/log_replay",
-            measure(n, || {
-                let mut st = base.clone();
-                for rec in &records {
-                    st.replay_batch(&rec.ops, &rec.resigned).unwrap();
-                }
-                st.len()
-            }),
+            measure_setup(
+                n,
+                || base.clone(),
+                |st| {
+                    for rec in &records {
+                        st.replay_batch(&rec.ops, &rec.resigned).unwrap();
+                    }
+                    st.len()
+                },
+            ),
         );
 
         // snapshot_load: decode + full digest rematerialization of the

@@ -175,15 +175,27 @@ pub fn perf_samples() -> usize {
 /// sample spans ~2 ms (cheap routines are batched; expensive ones run
 /// once per sample). The same estimator `perf_trajectory` uses.
 pub fn measure_ns<T>(n_samples: usize, mut f: impl FnMut() -> T) -> f64 {
+    measure_setup_ns(n_samples, || (), |_| f())
+}
+
+/// [`measure_ns`] for a routine that consumes state: every call gets its
+/// own input from `setup`, built (and dropped) outside the timed region.
+pub fn measure_setup_ns<S, T>(
+    n_samples: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(&mut S) -> T,
+) -> f64 {
+    let mut input = setup();
     let start = Instant::now();
-    std::hint::black_box(f());
+    std::hint::black_box(f(&mut input));
     let once = start.elapsed().max(Duration::from_nanos(50));
     let per_sample = (Duration::from_millis(2).as_nanos() / once.as_nanos()).clamp(1, 20_000);
     let mut times: Vec<f64> = Vec::with_capacity(n_samples);
     for _ in 0..n_samples {
+        let mut inputs: Vec<S> = (0..per_sample).map(|_| setup()).collect();
         let start = Instant::now();
-        for _ in 0..per_sample {
-            std::hint::black_box(f());
+        for input in &mut inputs {
+            std::hint::black_box(f(input));
         }
         times.push(start.elapsed().as_nanos() as f64 / per_sample as f64);
     }

@@ -212,12 +212,7 @@ pub fn verify_pkfk_join(
         });
     }
     let hasher = s_cert.config.hasher();
-    let radix = match s_cert.config.mode {
-        crate::scheme::Mode::Conceptual => None,
-        crate::scheme::Mode::Optimized { base } => {
-            Some(crate::repr::Radix::for_width(base, s_cert.domain.width()))
-        }
-    };
+    let radix = s_cert.config.radix(&s_cert.domain);
     let mut links: Vec<Digest> = Vec::with_capacity(vo.inner.len());
     let mut seen_keys = BTreeSet::new();
     for (i, proof) in vo.inner.iter().enumerate() {

@@ -15,10 +15,11 @@
 
 use crate::domain::Domain;
 use crate::gdigest::{
-    attr_tree, direction_commitment, g_of_delimiter, link_digest, Direction, GDigest,
+    attr_tree, direction_commitment, edge_digest, g_of_delimiter, link_digests_run, Direction,
+    GDigest,
 };
 use crate::repr::Radix;
-use crate::scheme::{Mode, SchemeConfig};
+use crate::scheme::SchemeConfig;
 use adp_crypto::{Digest, Hasher, Keypair, PublicKey, Signature};
 use adp_relation::{BPlusTree, Record, Schema, SchemaError, Table};
 use rand::RngCore;
@@ -117,10 +118,15 @@ pub struct SignedEntry {
     pub signature: Signature,
 }
 
+/// `g` and (optimized mode) rep-MHT roots of one chain position.
+type Material = (GDigest, Option<(Digest, Digest)>);
+
 /// Cost accounting for one update operation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateReport {
-    /// Signatures recomputed (3 for insert/modify, 2 for delete).
+    /// Signatures recomputed: 3 for insert/modify, 2 for delete, and for a
+    /// key-moving update the distinct positions of both neighbourhoods
+    /// (5 when they do not overlap).
     pub signatures_recomputed: usize,
     /// `g` digests recomputed (1 for insert/modify, 0 for delete).
     pub g_recomputed: usize,
@@ -288,73 +294,26 @@ impl SignedTable {
         self.entries[chain_pos].g.to_bytes()
     }
 
-    /// The link digest signed at `chain_pos` (recomputed from current `g`s).
-    fn link_at(&self, chain_pos: usize) -> Digest {
-        let prev = if chain_pos == 0 {
-            crate::gdigest::edge_digest(&self.hasher, self.domain.l())
-                .as_bytes()
-                .to_vec()
-        } else {
-            self.entries[chain_pos - 1].g.to_bytes()
-        };
-        let next = if chain_pos == self.entries.len() - 1 {
-            crate::gdigest::edge_digest(&self.hasher, self.domain.u())
-                .as_bytes()
-                .to_vec()
-        } else {
-            self.entries[chain_pos + 1].g.to_bytes()
-        };
-        link_digest(
-            &self.hasher,
-            &prev,
-            &self.entries[chain_pos].g.to_bytes(),
-            &next,
-        )
-    }
-
     /// Internal consistency check: every stored signature verifies against
-    /// the recomputed link digest. `O(n)` signature verifications — test
-    /// and debugging helper.
+    /// the recomputed link digest. `O(n)` signature verifications, split
+    /// across cores like [`Owner::sign_table`]'s signing; a publisher runs
+    /// it before serving a table rebuilt by [`SignedTable::from_parts`].
     pub fn audit(&self) -> bool {
-        (0..self.entries.len()).all(|i| {
+        let len = self.entries.len();
+        let all: Vec<usize> = (0..len).collect();
+        let links = links_for(
+            &self.hasher,
+            &self.domain,
+            len,
+            |p| &self.entries[p].g,
+            &all,
+        );
+        par_chain(len, |p| {
             self.public_key
-                .verify(&self.hasher, &self.link_at(i), &self.entries[i].signature)
+                .verify(&self.hasher, &links[p], &self.entries[p].signature)
         })
-    }
-
-    /// `g` and rep-roots for one record, from this table's scheme state.
-    fn materialize_record(&self, record: &Record) -> (GDigest, Option<(Digest, Digest)>) {
-        let schema = self.table.schema();
-        let key = record.key(schema);
-        let up = direction_commitment(
-            &self.hasher,
-            &self.config,
-            self.radix.as_ref(),
-            &self.domain,
-            key,
-            Direction::Up,
-        );
-        let down = direction_commitment(
-            &self.hasher,
-            &self.config,
-            self.radix.as_ref(),
-            &self.domain,
-            key,
-            Direction::Down,
-        );
-        let attrs = attr_tree(&self.hasher, schema, record).root();
-        let roots = match (up.rep_tree.as_ref(), down.rep_tree.as_ref()) {
-            (Some(u), Some(d)) => Some((u.root(), d.root())),
-            _ => None,
-        };
-        (
-            GDigest {
-                up: up.component,
-                down: down.component,
-                attrs,
-            },
-            roots,
-        )
+        .into_iter()
+        .all(|ok| ok)
     }
 
     /// Current chain position of a `(key, replica)` tree key (delimiters
@@ -444,7 +403,14 @@ impl SignedTable {
         for op in ops {
             match op {
                 Mutation::Insert(record) => {
-                    let (g, roots) = self.materialize_record(record);
+                    let (g, roots) = materialize_record(
+                        &self.hasher,
+                        &self.config,
+                        self.radix.as_ref(),
+                        &self.domain,
+                        self.table.schema(),
+                        record,
+                    );
                     g_recomputed += 1;
                     let pos = self.table.insert(record.clone())?;
                     let cp = pos + 1;
@@ -488,7 +454,14 @@ impl SignedTable {
                             replica: *replica,
                         });
                     };
-                    let (g, roots) = self.materialize_record(record);
+                    let (g, roots) = materialize_record(
+                        &self.hasher,
+                        &self.config,
+                        self.radix.as_ref(),
+                        &self.domain,
+                        self.table.schema(),
+                        record,
+                    );
                     g_recomputed += 1;
                     self.table.update_in_place(pos, record.clone())?;
                     let cp = pos + 1;
@@ -506,47 +479,6 @@ impl SignedTable {
             .collect();
         positions.sort_unstable();
         Ok((positions, g_recomputed))
-    }
-
-    /// Link digests for the given (sorted) chain positions, computed with
-    /// the bulk [`crate::gdigest::link_digests_run`] sliding window over
-    /// each contiguous run — every `g` in a run is serialized once.
-    fn links_for(&self, positions: &[usize]) -> Vec<Digest> {
-        let edge_l = crate::gdigest::edge_digest(&self.hasher, self.domain.l())
-            .as_bytes()
-            .to_vec();
-        let edge_u = crate::gdigest::edge_digest(&self.hasher, self.domain.u())
-            .as_bytes()
-            .to_vec();
-        let last = self.entries.len() - 1;
-        let mut out = Vec::with_capacity(positions.len());
-        let mut i = 0;
-        while i < positions.len() {
-            let mut j = i;
-            while j + 1 < positions.len() && positions[j + 1] == positions[j] + 1 {
-                j += 1;
-            }
-            let (a, b) = (positions[i], positions[j]);
-            let prev = if a == 0 {
-                edge_l.clone()
-            } else {
-                self.entries[a - 1].g.to_bytes()
-            };
-            let next = if b == last {
-                edge_u.clone()
-            } else {
-                self.entries[b + 1].g.to_bytes()
-            };
-            let encoded: Vec<Vec<u8>> =
-                self.entries[a..=b].iter().map(|e| e.g.to_bytes()).collect();
-            let mut run: Vec<&[u8]> = Vec::with_capacity(encoded.len() + 2);
-            run.push(&prev);
-            run.extend(encoded.iter().map(Vec::as_slice));
-            run.push(&next);
-            out.extend(crate::gdigest::link_digests_run(&self.hasher, &run));
-            i = j + 1;
-        }
-        out
     }
 
     /// Publisher-side batch application: replays a logged batch *without
@@ -580,7 +512,13 @@ impl SignedTable {
                 got: resigned.len(),
             });
         }
-        let links = self.links_for(&positions);
+        let links = links_for(
+            &self.hasher,
+            &self.domain,
+            self.entries.len(),
+            |p| &self.entries[p].g,
+            &positions,
+        );
         for ((pos, sig), link) in resigned.iter().zip(&links) {
             if !self.public_key.verify(&self.hasher, link, sig) {
                 return Err(OwnerError::ResignatureInvalid {
@@ -604,12 +542,15 @@ pub struct Owner {
 
 impl SignedTable {
     /// Publisher-side reconstruction from disseminated parts: the owner
-    /// ships only the data and the `n + 2` signatures (Figure 3); the
-    /// publisher recomputes every digest itself and — since it should not
-    /// serve data it cannot prove — audits the chain against the owner's
-    /// public key.
+    /// ships only the data and the `n + 2` signatures (Figure 3), and the
+    /// publisher recomputes every `g`, rep-root and link digest itself with
+    /// the same parallel kernel [`Owner::sign_table`] uses.
     ///
-    /// `signatures` must cover chain positions `0..=n+1` in order.
+    /// `signatures` must cover chain positions `0..=n+1` in order, and every
+    /// key must lie in the domain. The signatures themselves are **not**
+    /// checked here: a caller about to serve the table must run
+    /// [`SignedTable::audit`] first, since a publisher should not serve
+    /// data it cannot prove.
     pub fn from_parts(
         table: Table,
         domain: Domain,
@@ -617,105 +558,189 @@ impl SignedTable {
         signatures: Vec<Signature>,
         public_key: PublicKey,
     ) -> Result<Self, OwnerError> {
-        let hasher = config.hasher();
-        let radix = match config.mode {
-            Mode::Conceptual => None,
-            Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
-        };
-        for row in table.rows() {
-            let k = row.record.key(table.schema());
-            if !domain.contains_key(k) {
-                return Err(OwnerError::KeyOutOfDomain { key: k });
-            }
-        }
-        let n = table.len();
-        if signatures.len() != n + 2 {
+        let expected = table.len() + 2;
+        if signatures.len() != expected {
             return Err(OwnerError::SignatureCount {
-                expected: n + 2,
+                expected,
                 got: signatures.len(),
             });
         }
-        let schema = table.schema().clone();
-        let mut entries = Vec::with_capacity(n + 2);
-        for (pos, signature) in signatures.into_iter().enumerate() {
-            let (g, roots) = if pos == 0 {
-                (
-                    g_of_delimiter(
-                        &hasher,
-                        &config,
-                        radix.as_ref(),
-                        &domain,
-                        domain.left_delimiter(),
-                    ),
-                    None,
-                )
-            } else if pos == n + 1 {
-                (
-                    g_of_delimiter(
-                        &hasher,
-                        &config,
-                        radix.as_ref(),
-                        &domain,
-                        domain.right_delimiter(),
-                    ),
-                    None,
-                )
-            } else {
-                let record = &table.row(pos - 1).record;
-                let key = record.key(&schema);
-                let up = direction_commitment(
-                    &hasher,
-                    &config,
-                    radix.as_ref(),
-                    &domain,
-                    key,
-                    Direction::Up,
-                );
-                let down = direction_commitment(
-                    &hasher,
-                    &config,
-                    radix.as_ref(),
-                    &domain,
-                    key,
-                    Direction::Down,
-                );
-                let attrs = attr_tree(&hasher, &schema, record).root();
-                let roots = match (up.rep_tree.as_ref(), down.rep_tree.as_ref()) {
-                    (Some(u), Some(d)) => Some((u.root(), d.root())),
-                    _ => None,
-                };
-                (
-                    GDigest {
-                        up: up.component,
-                        down: down.component,
-                        attrs,
-                    },
-                    roots,
-                )
-            };
-            entries.push(SignedEntry {
+        let materials = materialize_chain(&table, &domain, &config)?;
+        Ok(SignedTable::assemble(
+            table, domain, config, materials, signatures, public_key,
+        ))
+    }
+
+    /// Builds a signed table from its chain materials and signatures
+    /// (positions `0..=n+1`) and fills the signature B+-tree.
+    fn assemble(
+        table: Table,
+        domain: Domain,
+        config: SchemeConfig,
+        materials: Vec<Material>,
+        signatures: Vec<Signature>,
+        public_key: PublicKey,
+    ) -> Self {
+        let entries: Vec<SignedEntry> = materials
+            .into_iter()
+            .zip(signatures)
+            .map(|((g, roots), signature)| SignedEntry {
                 g,
                 roots,
                 signature,
-            });
-        }
-        let mut sig_index = BPlusTree::new(64);
+            })
+            .collect();
         let mut st = SignedTable {
             table,
             domain,
             config,
-            hasher,
-            radix,
+            hasher: config.hasher(),
+            radix: config.radix(&domain),
             entries,
             sig_index: BPlusTree::new(64),
             public_key,
         };
         for pos in 0..st.entries.len() {
-            sig_index.insert(st.tree_key_at(pos), st.entries[pos].signature.clone());
+            let signature = st.entries[pos].signature.clone();
+            st.sig_index.insert(st.tree_key_at(pos), signature);
         }
-        st.sig_index = sig_index;
-        Ok(st)
+        st
     }
+}
+
+/// Computes `f(pos)` for every chain position in `0..len` (`len >= 1`) on
+/// `available_parallelism().min(len)` scoped threads, each owning one
+/// contiguous chunk; results come back in chain order. Whole-chain work —
+/// materializing, signing and auditing — shares this split; per-batch
+/// `O(k)` work stays serial.
+fn par_chain<T: Send>(len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(len);
+    let chunk = len.div_ceil(threads);
+    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    std::thread::scope(|s| {
+        for (t, slots) in out.chunks_mut(chunk).enumerate() {
+            let f = &f;
+            s.spawn(move || {
+                for (off, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(f(t * chunk + off));
+                }
+            });
+        }
+    });
+    out.into_iter().map(Option::unwrap).collect()
+}
+
+/// `g` and rep-roots for one real record (formula (3), Figure 7).
+fn materialize_record(
+    hasher: &Hasher,
+    config: &SchemeConfig,
+    radix: Option<&Radix>,
+    domain: &Domain,
+    schema: &Schema,
+    record: &Record,
+) -> Material {
+    let key = record.key(schema);
+    let up = direction_commitment(hasher, config, radix, domain, key, Direction::Up);
+    let down = direction_commitment(hasher, config, radix, domain, key, Direction::Down);
+    let attrs = attr_tree(hasher, schema, record).root();
+    let roots = match (up.rep_tree.as_ref(), down.rep_tree.as_ref()) {
+        (Some(u), Some(d)) => Some((u.root(), d.root())),
+        _ => None,
+    };
+    (
+        GDigest {
+            up: up.component,
+            down: down.component,
+            attrs,
+        },
+        roots,
+    )
+}
+
+/// Materials for every chain position `0..=n+1`: the two delimiters and
+/// each record, computed by [`par_chain`]. Every key is checked against
+/// the domain first, so an out-of-domain table fails before any crypto.
+fn materialize_chain(
+    table: &Table,
+    domain: &Domain,
+    config: &SchemeConfig,
+) -> Result<Vec<Material>, OwnerError> {
+    let schema = table.schema();
+    for row in table.rows() {
+        let key = row.record.key(schema);
+        if !domain.contains_key(key) {
+            return Err(OwnerError::KeyOutOfDomain { key });
+        }
+    }
+    let hasher = config.hasher();
+    let radix = config.radix(domain);
+    let last = table.len() + 1;
+    Ok(par_chain(last + 1, |pos| {
+        let delimiter = |key| {
+            (
+                g_of_delimiter(&hasher, config, radix.as_ref(), domain, key),
+                None,
+            )
+        };
+        match pos {
+            0 => delimiter(domain.left_delimiter()),
+            p if p == last => delimiter(domain.right_delimiter()),
+            p => materialize_record(
+                &hasher,
+                config,
+                radix.as_ref(),
+                domain,
+                schema,
+                &table.row(p - 1).record,
+            ),
+        }
+    }))
+}
+
+/// Link digests `h(g(r_{p-1}) | g(r_p) | g(r_{p+1}))` (formula (1)) for
+/// the sorted `positions` of a `len`-position chain whose `g` at `p` is
+/// `g(p)`, with the edge anchors `h(L)` / `h(U)` beyond the delimiters.
+/// Each contiguous run of positions goes through one
+/// [`link_digests_run`] sliding window, so every `g` in it is serialized
+/// once; the whole chain is a single run.
+fn links_for<'a>(
+    hasher: &Hasher,
+    domain: &Domain,
+    len: usize,
+    g: impl Fn(usize) -> &'a GDigest,
+    positions: &[usize],
+) -> Vec<Digest> {
+    let edge_l = edge_digest(hasher, domain.l()).as_bytes().to_vec();
+    let edge_u = edge_digest(hasher, domain.u()).as_bytes().to_vec();
+    let mut out = Vec::with_capacity(positions.len());
+    let mut i = 0;
+    while i < positions.len() {
+        let mut j = i;
+        while j + 1 < positions.len() && positions[j + 1] == positions[j] + 1 {
+            j += 1;
+        }
+        let (a, b) = (positions[i], positions[j]);
+        let prev = if a == 0 {
+            edge_l.clone()
+        } else {
+            g(a - 1).to_bytes()
+        };
+        let next = if b == len - 1 {
+            edge_u.clone()
+        } else {
+            g(b + 1).to_bytes()
+        };
+        let encoded: Vec<Vec<u8>> = (a..=b).map(|p| g(p).to_bytes()).collect();
+        let mut run: Vec<&[u8]> = Vec::with_capacity(encoded.len() + 2);
+        run.push(&prev);
+        run.extend(encoded.iter().map(Vec::as_slice));
+        run.push(&next);
+        out.extend(link_digests_run(hasher, &run));
+        i = j + 1;
+    }
+    out
 }
 
 impl Owner {
@@ -732,34 +757,6 @@ impl Owner {
         self.keypair.public()
     }
 
-    /// Computes `g` and rep-roots for one record.
-    fn materialize(
-        &self,
-        hasher: &Hasher,
-        config: &SchemeConfig,
-        radix: Option<&Radix>,
-        domain: &Domain,
-        schema: &Schema,
-        record: &Record,
-    ) -> (GDigest, Option<(Digest, Digest)>) {
-        let key = record.key(schema);
-        let up = direction_commitment(hasher, config, radix, domain, key, Direction::Up);
-        let down = direction_commitment(hasher, config, radix, domain, key, Direction::Down);
-        let attrs = attr_tree(hasher, schema, record).root();
-        let roots = match (up.rep_tree.as_ref(), down.rep_tree.as_ref()) {
-            (Some(u), Some(d)) => Some((u.root(), d.root())),
-            _ => None,
-        };
-        (
-            GDigest {
-                up: up.component,
-                down: down.component,
-                attrs,
-            },
-            roots,
-        )
-    }
-
     /// Signs a table for publishing. `O(n)` hash chains + `n + 2` RSA
     /// signatures; parallelized across available cores.
     pub fn sign_table(
@@ -768,143 +765,32 @@ impl Owner {
         domain: Domain,
         config: SchemeConfig,
     ) -> Result<SignedTable, OwnerError> {
+        let materials = materialize_chain(&table, &domain, &config)?;
         let hasher = config.hasher();
-        let radix = match config.mode {
-            Mode::Conceptual => None,
-            Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
-        };
-        // Validate all keys before doing any crypto work.
-        for row in table.rows() {
-            let k = row.record.key(table.schema());
-            if !domain.contains_key(k) {
-                return Err(OwnerError::KeyOutOfDomain { key: k });
-            }
-        }
-
-        let n = table.len();
-        let schema = table.schema().clone();
-        // Materialize g for all chain positions 0..=n+1, in parallel.
-        type Material = (GDigest, Option<(Digest, Digest)>);
-        let mut materials: Vec<Option<Material>> = vec![None; n + 2];
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(n + 2);
-        let chunk = (n + 2).div_ceil(threads);
-        std::thread::scope(|s| {
-            for (t, slot_chunk) in materials.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                let table = &table;
-                let schema = &schema;
-                let radix = radix.as_ref();
-                let domain = &domain;
-                let config = &config;
-                let hasher = &hasher;
-                s.spawn(move || {
-                    for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                        let pos = start + off;
-                        let mat = if pos == 0 {
-                            let g = g_of_delimiter(
-                                hasher,
-                                config,
-                                radix,
-                                domain,
-                                domain.left_delimiter(),
-                            );
-                            (g, None)
-                        } else if pos == n + 1 {
-                            let g = g_of_delimiter(
-                                hasher,
-                                config,
-                                radix,
-                                domain,
-                                domain.right_delimiter(),
-                            );
-                            (g, None)
-                        } else {
-                            self.materialize(
-                                hasher,
-                                config,
-                                radix,
-                                domain,
-                                schema,
-                                &table.row(pos - 1).record,
-                            )
-                        };
-                        *slot = Some(mat);
-                    }
-                });
-            }
-        });
-        let materials: Vec<Material> = materials.into_iter().map(Option::unwrap).collect();
-
-        // Link digests over the whole chain in one bulk pass: each `g` is
-        // serialized once and the edge anchors flank the run, instead of
-        // re-encoding every neighbour triple.
-        let edge_l = crate::gdigest::edge_digest(&hasher, domain.l())
-            .as_bytes()
-            .to_vec();
-        let edge_u = crate::gdigest::edge_digest(&hasher, domain.u())
-            .as_bytes()
-            .to_vec();
-        let encoded: Vec<Vec<u8>> = materials.iter().map(|(g, _)| g.to_bytes()).collect();
-        let mut run: Vec<&[u8]> = Vec::with_capacity(n + 4);
-        run.push(&edge_l);
-        run.extend(encoded.iter().map(Vec::as_slice));
-        run.push(&edge_u);
-        let links: Vec<Digest> = crate::gdigest::link_digests_run(&hasher, &run);
-
-        let mut signatures: Vec<Option<Signature>> = vec![None; n + 2];
-        std::thread::scope(|s| {
-            for (t, sig_chunk) in signatures.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                let links = &links;
-                let hasher = &hasher;
-                let keypair = &self.keypair;
-                s.spawn(move || {
-                    for (off, slot) in sig_chunk.iter_mut().enumerate() {
-                        *slot = Some(keypair.sign(hasher, &links[start + off]));
-                    }
-                });
-            }
-        });
-
-        let entries: Vec<SignedEntry> = materials
-            .into_iter()
-            .zip(signatures)
-            .map(|((g, roots), sig)| SignedEntry {
-                g,
-                roots,
-                signature: sig.unwrap(),
-            })
-            .collect();
-
-        // Populate the signature B+-tree.
-        let mut sig_index = BPlusTree::new(64);
-        let mut st = SignedTable {
+        let all: Vec<usize> = (0..materials.len()).collect();
+        let links = links_for(&hasher, &domain, all.len(), |p| &materials[p].0, &all);
+        let signatures = par_chain(all.len(), |p| self.keypair.sign(&hasher, &links[p]));
+        Ok(SignedTable::assemble(
             table,
             domain,
             config,
-            hasher,
-            radix,
-            entries,
-            sig_index: BPlusTree::new(64),
-            public_key: self.keypair.public().clone(),
-        };
-        for pos in 0..st.entries.len() {
-            sig_index.insert(st.tree_key_at(pos), st.entries[pos].signature.clone());
-        }
-        st.sig_index = sig_index;
-        Ok(st)
+            materials,
+            signatures,
+            self.keypair.public().clone(),
+        ))
     }
 
-    /// Re-signs the given chain positions in place, updating the B+-tree.
-    fn resign(&self, st: &mut SignedTable, positions: &[usize]) {
-        for &pos in positions {
-            let link = st.link_at(pos);
-            let sig = self.keypair.sign(&st.hasher, &link);
-            st.entries[pos].signature = sig.clone();
-            st.sig_index.insert(st.tree_key_at(pos), sig);
-        }
+    /// Applies one mutation through [`Owner::apply_batch`], reporting its
+    /// cost with the signature B+-tree's node-visit counters.
+    fn apply_one(&self, st: &mut SignedTable, op: Mutation) -> Result<UpdateReport, OwnerError> {
+        st.sig_index.stats().reset();
+        let batch = self.apply_batch(st, vec![op])?;
+        Ok(UpdateReport {
+            signatures_recomputed: batch.signatures_recomputed,
+            g_recomputed: batch.g_recomputed,
+            index_leaves_touched: st.sig_index.stats().leaves_visited(),
+            index_nodes_touched: st.sig_index.stats().nodes_visited(),
+        })
     }
 
     /// Inserts a record, re-signing the record and its two neighbours
@@ -914,39 +800,7 @@ impl Owner {
         st: &mut SignedTable,
         record: Record,
     ) -> Result<UpdateReport, OwnerError> {
-        let key = record.key(st.table.schema());
-        if !st.domain.contains_key(key) {
-            return Err(OwnerError::KeyOutOfDomain { key });
-        }
-        st.sig_index.stats().reset();
-        let schema = st.table.schema().clone();
-        let (g, roots) = self.materialize(
-            &st.hasher,
-            &st.config,
-            st.radix.as_ref(),
-            &st.domain,
-            &schema,
-            &record,
-        );
-        let pos = st.table.insert(record)?;
-        let cp = pos + 1;
-        // Placeholder signature replaced by resign() below.
-        let placeholder = st.entries[0].signature.clone();
-        st.entries.insert(
-            cp,
-            SignedEntry {
-                g,
-                roots,
-                signature: placeholder,
-            },
-        );
-        self.resign(st, &[cp - 1, cp, cp + 1]);
-        Ok(UpdateReport {
-            signatures_recomputed: 3,
-            g_recomputed: 1,
-            index_leaves_touched: st.sig_index.stats().leaves_visited(),
-            index_nodes_touched: st.sig_index.stats().nodes_visited(),
-        })
+        self.apply_one(st, Mutation::Insert(record))
     }
 
     /// Deletes `(key, replica)`, re-signing the two now-adjacent
@@ -957,25 +811,12 @@ impl Owner {
         key: i64,
         replica: u32,
     ) -> Result<UpdateReport, OwnerError> {
-        let Some(pos) = st.table.position_of(key, replica) else {
-            return Err(OwnerError::NoSuchRecord { key, replica });
-        };
-        st.sig_index.stats().reset();
-        st.table.remove_at(pos);
-        let cp = pos + 1;
-        st.entries.remove(cp);
-        st.sig_index.remove((key, replica));
-        self.resign(st, &[cp - 1, cp]);
-        Ok(UpdateReport {
-            signatures_recomputed: 2,
-            g_recomputed: 0,
-            index_leaves_touched: st.sig_index.stats().leaves_visited(),
-            index_nodes_touched: st.sig_index.stats().nodes_visited(),
-        })
+        self.apply_one(st, Mutation::Delete { key, replica })
     }
 
     /// Replaces the non-key attributes of `(key, replica)`, re-signing the
-    /// record and its two neighbours.
+    /// record and its two neighbours. A record with a different key
+    /// relocates: delete + insert, re-signing both neighbourhoods once.
     pub fn update_record(
         &self,
         st: &mut SignedTable,
@@ -983,49 +824,22 @@ impl Owner {
         replica: u32,
         new_record: Record,
     ) -> Result<UpdateReport, OwnerError> {
-        let Some(pos) = st.table.position_of(key, replica) else {
-            return Err(OwnerError::NoSuchRecord { key, replica });
-        };
-        if new_record.key(st.table.schema()) != key {
-            // Key changes relocate the record: delete + insert.
-            let d = self.delete_record(st, key, replica)?;
-            let i = self.insert_record(st, new_record)?;
-            return Ok(UpdateReport {
-                signatures_recomputed: d.signatures_recomputed + i.signatures_recomputed,
-                g_recomputed: d.g_recomputed + i.g_recomputed,
-                index_leaves_touched: d.index_leaves_touched + i.index_leaves_touched,
-                index_nodes_touched: d.index_nodes_touched + i.index_nodes_touched,
-            });
-        }
-        st.sig_index.stats().reset();
-        let schema = st.table.schema().clone();
-        let (g, roots) = self.materialize(
-            &st.hasher,
-            &st.config,
-            st.radix.as_ref(),
-            &st.domain,
-            &schema,
-            &new_record,
-        );
-        st.table.update_in_place(pos, new_record)?;
-        let cp = pos + 1;
-        st.entries[cp].g = g;
-        st.entries[cp].roots = roots;
-        self.resign(st, &[cp - 1, cp, cp + 1]);
-        Ok(UpdateReport {
-            signatures_recomputed: 3,
-            g_recomputed: 1,
-            index_leaves_touched: st.sig_index.stats().leaves_visited(),
-            index_nodes_touched: st.sig_index.stats().nodes_visited(),
-        })
+        self.apply_one(
+            st,
+            Mutation::Update {
+                key,
+                replica,
+                record: new_record,
+            },
+        )
     }
 
     /// Incremental bulk ingest: applies a batch of `k` mutations to an
     /// `n`-row signed table, re-signing only the `O(k)` affected chain
     /// neighborhoods (each mutation dirties itself and its two neighbors;
-    /// adjacent mutations share neighborhoods). Link digests are computed
-    /// with the bulk `hash_triple_windows` sliding window per contiguous
-    /// dirty run — the same kernel `sign_table` uses for the full chain.
+    /// adjacent mutations share neighborhoods). Link digests come from
+    /// the same `links_for` run kernel `sign_table` applies to the full
+    /// chain; the `O(k)` re-signing itself runs serially.
     ///
     /// The batch is canonicalized first — key-changing updates decompose
     /// into delete + insert, then deletes, in-place updates, and inserts
@@ -1050,7 +864,13 @@ impl Owner {
         let ops = canonicalize_batch(st.table.schema(), ops);
         st.validate_batch(&ops)?;
         let (positions, g_recomputed) = st.stage_batch(&ops)?;
-        let links = st.links_for(&positions);
+        let links = links_for(
+            &st.hasher,
+            &st.domain,
+            st.entries.len(),
+            |p| &st.entries[p].g,
+            &positions,
+        );
         let mut resigned = Vec::with_capacity(positions.len());
         for (&pos, link) in positions.iter().zip(&links) {
             let sig = self.keypair.sign(&st.hasher, link);
@@ -1383,6 +1203,28 @@ mod tests {
         assert_eq!(report.signatures_recomputed, 5); // 2 delete + 3 insert
         assert!(st.audit());
         assert_eq!(st.key_at(st.chain_len() - 2), 30_000);
+
+        // Moving 8010 one slot up (past 12100) makes the delete and insert
+        // neighbourhoods share 12100: each position is re-signed once.
+        let mut st = owner
+            .sign_table(
+                figure1_table(),
+                Domain::new(0, 100_000),
+                SchemeConfig::default(),
+            )
+            .unwrap();
+        let before: std::collections::BTreeMap<_, _> = sig_bytes_by_key(&st).into_iter().collect();
+        let report = owner
+            .update_record(&mut st, 8010, 0, rec(1, 13_000))
+            .unwrap();
+        assert_eq!(report.signatures_recomputed, 4); // 3500, 12100, 13000, 25000
+        assert!(st.audit());
+        assert_eq!(st.key_at(4), 13_000);
+        let changed = sig_bytes_by_key(&st)
+            .iter()
+            .filter(|(tk, sig)| before.get(tk) != Some(sig))
+            .count();
+        assert_eq!(changed, report.signatures_recomputed);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Scheme configuration.
 
+use crate::domain::Domain;
+use crate::repr::Radix;
 use adp_crypto::Hasher;
 
 /// How `g(r)`'s chain components are computed.
@@ -76,6 +78,15 @@ impl SchemeConfig {
     /// The hasher implied by this config.
     pub fn hasher(&self) -> Hasher {
         Hasher::new(self.digest_len)
+    }
+
+    /// The radix a table over `domain` uses under this config (`None` in
+    /// conceptual mode). Owner, publisher and verifier all derive it here.
+    pub fn radix(&self, domain: &Domain) -> Option<Radix> {
+        match self.mode {
+            Mode::Conceptual => None,
+            Mode::Optimized { base } => Some(Radix::for_width(base, domain.width())),
+        }
     }
 }
 

@@ -126,10 +126,7 @@ impl<'a> Ctx<'a> {
             .iter()
             .position(|&c| c == schema.key_index())
             .ok_or(VerifyError::KeyColumnMissing)?;
-        let radix = match cert.config.mode {
-            Mode::Conceptual => None,
-            Mode::Optimized { base } => Some(Radix::for_width(base, cert.domain.width())),
-        };
+        let radix = cert.config.radix(&cert.domain);
         Ok(Ctx {
             cert,
             query,

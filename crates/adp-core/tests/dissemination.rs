@@ -19,6 +19,10 @@ fn owner() -> &'static Owner {
 }
 
 fn sample_table() -> Table {
+    sample_table_of(40)
+}
+
+fn sample_table_of(rows: i64) -> Table {
     let schema = Schema::new(
         vec![
             Column::new("k", ValueType::Int),
@@ -28,7 +32,7 @@ fn sample_table() -> Table {
         "k",
     );
     let mut t = Table::new("disseminated", schema);
-    for i in 0..40i64 {
+    for i in 0..rows {
         t.insert(Record::new(vec![
             Value::Int(i * 3 + 2),
             Value::from(format!("n{i}")),
@@ -42,40 +46,56 @@ fn sample_table() -> Table {
 #[test]
 fn publisher_rebuilds_from_parts_and_serves() {
     let o = owner();
-    let original = o
-        .sign_table(
-            sample_table(),
+    // Both modes, an empty table (chain length 2), and 7 rows (9 chain
+    // positions, not a multiple of a typical worker count).
+    for (rows, config) in [
+        (40, SchemeConfig::default()),
+        (40, SchemeConfig::conceptual()),
+        (0, SchemeConfig::default()),
+        (7, SchemeConfig::default()),
+    ] {
+        let original = o
+            .sign_table(sample_table_of(rows), Domain::new(0, 10_000), config)
+            .unwrap();
+        let cert = o.certificate(&original);
+
+        // What actually travels owner → publisher: data + signatures.
+        let signatures: Vec<_> = (0..original.chain_len())
+            .map(|i| original.entry(i).signature.clone())
+            .collect();
+        let sig_bytes = wire::encode_signatures(&signatures);
+        let decoded_sigs = wire::decode_signatures(&sig_bytes).unwrap();
+
+        let rebuilt = SignedTable::from_parts(
+            sample_table_of(rows),
             Domain::new(0, 10_000),
-            SchemeConfig::default(),
+            config,
+            decoded_sigs,
+            cert.public_key.clone(),
         )
         .unwrap();
-    let cert = o.certificate(&original);
+        assert_eq!(rebuilt.chain_len(), rows as usize + 2);
+        for p in 0..original.chain_len() {
+            assert_eq!(rebuilt.g_bytes(p), original.g_bytes(p), "g at {p}");
+            assert_eq!(rebuilt.entry(p).roots, original.entry(p).roots, "{p}");
+            assert_eq!(
+                rebuilt.entry(p).signature.to_bytes(),
+                original.entry(p).signature.to_bytes(),
+                "signature at {p}"
+            );
+        }
+        assert_eq!(rebuilt.sig_index().len(), original.sig_index().len());
+        assert!(
+            rebuilt.audit(),
+            "rebuilt chain must verify against the owner key"
+        );
 
-    // What actually travels owner → publisher: data + signatures.
-    let signatures: Vec<_> = (0..original.chain_len())
-        .map(|i| original.entry(i).signature.clone())
-        .collect();
-    let sig_bytes = wire::encode_signatures(&signatures);
-    let decoded_sigs = wire::decode_signatures(&sig_bytes).unwrap();
-
-    let rebuilt = SignedTable::from_parts(
-        sample_table(),
-        Domain::new(0, 10_000),
-        SchemeConfig::default(),
-        decoded_sigs,
-        cert.public_key.clone(),
-    )
-    .unwrap();
-    assert!(
-        rebuilt.audit(),
-        "rebuilt chain must verify against the owner key"
-    );
-
-    // The rebuilt publisher serves verifiable answers.
-    let query = SelectQuery::range(KeyRange::closed(10, 60)).project(&["name"]);
-    let (rows, vo) = Publisher::new(&rebuilt).answer_select(&query).unwrap();
-    let report = verify_select(&cert, &query, &rows, &vo).unwrap();
-    assert!(report.matched > 0);
+        // The rebuilt publisher serves verifiable answers.
+        let query = SelectQuery::range(KeyRange::closed(10, 60)).project(&["name"]);
+        let (answer, vo) = Publisher::new(&rebuilt).answer_select(&query).unwrap();
+        let report = verify_select(&cert, &query, &answer, &vo).unwrap();
+        assert_eq!(report.matched > 0, rows > 0);
+    }
 }
 
 #[test]
@@ -105,7 +125,8 @@ fn from_parts_rejects_wrong_signature_count() {
 #[test]
 fn tampered_dissemination_fails_audit() {
     // A publisher receiving data that does not match the signatures can
-    // detect it immediately (and must not serve it).
+    // detect it immediately (and must not serve it) — wherever in the
+    // chain the mismatch sits, including both ends of the audit's split.
     let o = owner();
     let original = o
         .sign_table(
@@ -117,18 +138,36 @@ fn tampered_dissemination_fails_audit() {
     let signatures: Vec<_> = (0..original.chain_len())
         .map(|i| original.entry(i).signature.clone())
         .collect();
-    let mut tampered = sample_table();
-    let rec = Record::new(vec![Value::Int(2), Value::from("evil"), Value::Bool(false)]);
-    tampered.update_in_place(0, rec).unwrap();
-    let rebuilt = SignedTable::from_parts(
-        tampered,
-        Domain::new(0, 10_000),
-        SchemeConfig::default(),
-        signatures,
-        original.public_key().clone(),
-    )
-    .unwrap();
-    assert!(!rebuilt.audit(), "tampered data must fail the audit");
+    let rebuild = |table: Table, signatures: Vec<_>| {
+        SignedTable::from_parts(
+            table,
+            Domain::new(0, 10_000),
+            SchemeConfig::default(),
+            signatures,
+            original.public_key().clone(),
+        )
+        .unwrap()
+    };
+    let n = original.len();
+    for row in [0, n / 2, n - 1] {
+        let mut tampered = sample_table();
+        let mut values = tampered.row(row).record.values().to_vec();
+        values[1] = Value::from("evil");
+        tampered.update_in_place(row, Record::new(values)).unwrap();
+        assert!(
+            !rebuild(tampered, signatures.clone()).audit(),
+            "tampered row {row} must fail the audit"
+        );
+    }
+    // Forged delimiter signatures: a genuine signature over another link.
+    for pos in [0, n + 1] {
+        let mut forged = signatures.clone();
+        forged[pos] = signatures[n / 2].clone();
+        assert!(
+            !rebuild(sample_table(), forged).audit(),
+            "forged signature at chain position {pos} must fail the audit"
+        );
+    }
 }
 
 #[test]

@@ -107,8 +107,8 @@ impl WireSchedule {
 /// A seed-deterministic fault schedule. Expansion is pure: the same seed
 /// and the same question (connection index, op index) always yield the
 /// same answer. Convergence under chaos is guaranteed by construction —
-/// faults are only planned for the first [`FaultPlan::faulty_conns`]
-/// connections and the explicitly forced disk ops, so a client that keeps
+/// faults are only planned for the first few connections (see
+/// [`FaultPlan::with_faulty_conns`]) and the explicitly forced disk ops, so a client that keeps
 /// reconnecting eventually reaches a clean connection.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
