@@ -19,6 +19,7 @@
 //! See `docs/PERFORMANCE.md` for how to read the snapshot.
 
 use adp_core::delta::{build_delta_pieces, dirty_intervals};
+use adp_core::gdigest::{direction_commitment, Direction};
 use adp_core::prelude::*;
 use adp_crypto::{
     chain_extend, chain_from_value, sha256::sha256, AggregateSignature, HashDomain, Hasher,
@@ -39,6 +40,7 @@ pub const EXPECTED_BENCHES: &[&str] = &[
     "hash/sha256_1024B",
     "chain/from_value_64steps",
     "chain/extend_1000steps",
+    "gdigest/direction_commitment_b2_m16",
     "merkle/build_1000",
     "rsa512/sign_crt",
     "rsa512/verify",
@@ -96,6 +98,27 @@ fn run_benches() -> Vec<(String, f64)> {
             chain_extend(&hasher, std::hint::black_box(seed), 1000)
         }),
     );
+
+    // One owner-side direction commitment (Figure 7) at B=2, m=16: one
+    // walk per digit chain plus the 16 preferred-representation digests.
+    {
+        let domain = Domain::new(0, 100_044);
+        let config = SchemeConfig::default();
+        let radix = config.radix(&domain);
+        record(
+            "gdigest/direction_commitment_b2_m16",
+            measure(n, || {
+                direction_commitment(
+                    &hasher,
+                    &config,
+                    radix.as_ref(),
+                    &domain,
+                    std::hint::black_box(57_321),
+                    Direction::Up,
+                )
+            }),
+        );
+    }
 
     // Merkle builds (MHT(r.A), rep trees, Devanbu baseline).
     let leaves: Vec<_> = (0..1000u32)

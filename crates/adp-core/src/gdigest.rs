@@ -23,7 +23,7 @@
 use crate::domain::{key_bytes, Domain};
 use crate::repr::Radix;
 use crate::scheme::{Mode, SchemeConfig};
-use adp_crypto::{chain_from_value, chain_run, hasher::HashDomain, Digest, Hasher, MerkleTree};
+use adp_crypto::{chain_from_value, chain_points, hasher::HashDomain, Digest, Hasher, MerkleTree};
 use adp_relation::{Record, Schema, Value};
 
 /// Chain direction.
@@ -154,48 +154,94 @@ pub fn direction_commitment(
     key: i64,
     dir: Direction,
 ) -> DirectionCommitment {
-    let delta_t = dir.delta_t(domain, key);
     match config.mode {
         Mode::Conceptual => DirectionCommitment {
-            component: digit_chain(hasher, key, dir, 0, delta_t),
+            component: digit_chain(hasher, key, dir, 0, dir.delta_t(domain, key)),
             canon_digest: None,
             rep_tree: None,
         },
         Mode::Optimized { base } => {
             let radix = radix.expect("optimized mode needs a radix");
             debug_assert_eq!(radix.base(), base);
-            let canon = radix.canonical(delta_t);
-            let m = radix.m();
-            let at = |digit: u32, steps: u64| digit_chain(hasher, key, dir, digit, steps);
-            // Canonical representation digest: all digit chains share the
-            // key bytes, so run them through the bulk chain API.
-            let canon_tags: Vec<(u32, u64)> = canon
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| (dir.tag(i as u32), d as u64))
-                .collect();
-            let canon_components = chain_run(hasher, &key_bytes(key), &canon_tags);
-            let canon_digest = rep_digest(hasher, &canon_components);
-            // The m preferred non-canonical representations.
-            let mut leaves = Vec::with_capacity(m as usize);
-            for j in 0..m {
-                let rep = radix.preferred(&canon, j);
-                let comps: Vec<Digest> = rep
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, d)| d.map(|d| at(i as u32, d as u64)))
-                    .collect();
-                leaves.push(rep_digest(hasher, &comps));
-            }
-            let rep_tree = MerkleTree::build(*hasher, leaves);
-            let component = combine_component(hasher, canon_digest, rep_tree.root());
-            DirectionCommitment {
-                component,
-                canon_digest: Some(canon_digest),
-                rep_tree: Some(rep_tree),
-            }
+            direction_walk(hasher, radix, domain, key, dir, None).0
         }
     }
+}
+
+/// The optimized-mode (Figure 7) commitment of one direction, built from
+/// **one walk per digit chain**.
+///
+/// The canonical digits `δ_i` of `δ_t` and every preferred representation
+/// `^jδ_t` differ only by `+B` (digit 0), `+B-1` (inflated digits) and
+/// `-1` (the borrowed digit), so chain `i` is walked once to its largest
+/// step and `δ_i - 1`, `δ_i` and `δ_i + B` / `δ_i + B - 1` are read off on
+/// the way. With `evidence` (a boundary proof's digits `δ_{e,i}`, each at
+/// most the selected representation's digit) the same walks also yield
+/// the intermediates `h^{δ_{e,i}}(key|tag(i))`; without it the second
+/// result is empty.
+pub fn direction_walk(
+    hasher: &Hasher,
+    radix: &Radix,
+    domain: &Domain,
+    key: i64,
+    dir: Direction,
+    evidence: Option<&[u32]>,
+) -> (DirectionCommitment, Vec<Digest>) {
+    const BORROWED: usize = 0;
+    const CANON: usize = 1;
+    const INFLATED: usize = 2;
+    const EVIDENCE: usize = 3;
+    let canon = radix.canonical(dir.delta_t(domain, key));
+    let m = radix.m() as usize;
+    let b = radix.base() as u64;
+    // Digit 0 is borrowed from by no representation, digit `m` is inflated
+    // by none; their unused points repeat `δ_i` and cost nothing.
+    let chains: Vec<(u32, [u64; 4])> = canon
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| {
+            let d = d as u64;
+            let borrowed = if i == 0 { d } else { d.saturating_sub(1) };
+            let inflated = match i {
+                i if i == m => d,
+                0 => d + b,
+                _ => d + b - 1,
+            };
+            let e = evidence.map_or(d, |e| e[i] as u64);
+            (dir.tag(i as u32), [borrowed, d, inflated, e])
+        })
+        .collect();
+    let points = chain_points(hasher, &key_bytes(key), &chains);
+    let canon_components: Vec<Digest> = points.iter().map(|p| p[CANON]).collect();
+    let canon_digest = rep_digest(hasher, &canon_components);
+    // `^jδ_t`: digits `0..=j` inflated, digit `j+1` borrowed from (dropped
+    // when `δ_{j+1} = 0`, an invalid representation), the rest canonical.
+    let mut components = Vec::with_capacity(m + 1);
+    let leaves: Vec<Digest> = (0..m)
+        .map(|j| {
+            components.clear();
+            components.extend(points[..=j].iter().map(|p| p[INFLATED]));
+            if canon[j + 1] >= 1 {
+                components.push(points[j + 1][BORROWED]);
+            }
+            components.extend_from_slice(&canon_components[j + 2..]);
+            rep_digest(hasher, &components)
+        })
+        .collect();
+    let rep_tree = MerkleTree::build(*hasher, leaves);
+    let component = combine_component(hasher, canon_digest, rep_tree.root());
+    let intermediates = match evidence {
+        Some(_) => points.iter().map(|p| p[EVIDENCE]).collect(),
+        None => Vec::new(),
+    };
+    (
+        DirectionCommitment {
+            component,
+            canon_digest: Some(canon_digest),
+            rep_tree: Some(rep_tree),
+        },
+        intermediates,
+    )
 }
 
 /// Verifier-side recomputation of a direction component for a *result
@@ -217,13 +263,16 @@ pub fn entry_component(
         Mode::Conceptual => digit_chain(hasher, key, dir, 0, delta_t),
         Mode::Optimized { .. } => {
             let radix = radix.expect("optimized mode needs a radix");
-            let canon = radix.canonical(delta_t);
-            let tags: Vec<(u32, u64)> = canon
+            let chains: Vec<(u32, [u64; 1])> = radix
+                .canonical(delta_t)
                 .iter()
                 .enumerate()
-                .map(|(i, &d)| (dir.tag(i as u32), d as u64))
+                .map(|(i, &d)| (dir.tag(i as u32), [d as u64]))
                 .collect();
-            let comps = chain_run(hasher, &key_bytes(key), &tags);
+            let comps: Vec<Digest> = chain_points(hasher, &key_bytes(key), &chains)
+                .into_iter()
+                .map(|[d]| d)
+                .collect();
             let canon_digest = rep_digest(hasher, &comps);
             let root = rep_root.expect("optimized mode needs the rep-MHT root");
             combine_component(hasher, canon_digest, root)
@@ -355,6 +404,31 @@ mod tests {
                     );
                     assert_eq!(rebuilt, commit.component, "B={base} key={key} {dir:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn direction_walk_evidence_matches_digit_chains() {
+        // The publisher's evidence intermediates come off the commitment's
+        // own walks; each equals the standalone digit chain.
+        let (h, d) = setup();
+        for base in [2u32, 3, 10] {
+            let cfg = SchemeConfig::with_base(base);
+            let radix = Radix::for_width(base, d.width());
+            for (key, alpha) in [(57i64, 60i64), (5_000, 61_234), (2, 99_998)] {
+                let dir = Direction::Up;
+                let delta_c = d.delta_up_query(alpha);
+                let (_, e) = radix.select_representation(dir.delta_t(&d, key), delta_c);
+                let (commit, intermediates) = direction_walk(&h, &radix, &d, key, dir, Some(&e));
+                let plain = direction_commitment(&h, &cfg, Some(&radix), &d, key, dir);
+                assert_eq!(commit.component, plain.component);
+                let expected: Vec<Digest> = e
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| digit_chain(&h, key, dir, i as u32, s as u64))
+                    .collect();
+                assert_eq!(intermediates, expected, "B={base} key={key} α={alpha}");
             }
         }
     }

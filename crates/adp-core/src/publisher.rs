@@ -7,14 +7,14 @@
 //! Section 3.2 (and a few more) so tests can assert each one is caught.
 
 use crate::domain::QueryBounds;
-use crate::gdigest::{digit_chain, direction_commitment, Direction};
+use crate::gdigest::{digit_chain, direction_commitment, direction_walk, Direction};
 use crate::owner::SignedTable;
 use crate::scheme::Mode;
 use crate::vo::{
     AttrProof, BoundaryProof, EmptyProof, EntryChains, EntryProof, PrevG, QueryVO, RangeVO,
     RepProof, SignatureProof,
 };
-use adp_crypto::{AggregateSignature, Digest, HashDomain, Signature};
+use adp_crypto::{AggregateSignature, HashDomain, Signature};
 use adp_relation::{passes_filters, Projection, Record, Schema, SelectQuery, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -316,15 +316,11 @@ impl<'a> Publisher<'a> {
                 let radix = st.radix().expect("optimized mode has a radix");
                 let delta_t = dir.delta_t(domain, key);
                 let (choice, e_digits) = radix.select_representation(delta_t, delta_c);
-                let intermediates: Vec<Digest> = e_digits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| digit_chain(hasher, key, dir, i as u32, d as u64))
-                    .collect();
                 // Rebuild the direction commitment to obtain the rep tree
-                // (the table caches only the roots).
-                let commit =
-                    direction_commitment(hasher, st.config(), Some(radix), domain, key, dir);
+                // (the table caches only the roots); the evidence
+                // intermediates come off the same digit-chain walks.
+                let (commit, intermediates) =
+                    direction_walk(hasher, radix, domain, key, dir, Some(&e_digits));
                 let tree = commit.rep_tree.expect("optimized mode builds rep trees");
                 let selector = match choice {
                     crate::repr::ReprChoice::Canonical => Some(RepProof::Canonical {

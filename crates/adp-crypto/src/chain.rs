@@ -36,25 +36,36 @@ pub fn chain_from_value(hasher: &Hasher, value: &[u8], position: u32, steps: u64
     d
 }
 
-/// Computes `h^{steps}(value|position)` for a whole run of tagged chains
-/// sharing one value — the owner-side shape in optimized mode, where the
-/// `m+1` digit chains of one key differ only in their position tag. The
-/// tag buffer is built once and patched per chain instead of reallocating.
+/// Walks a run of tagged chains sharing one value, each **once**, and reads
+/// several intermediate digests off every walk: for chain
+/// `(position, steps)`, entry `k` of its result is
+/// `h^{steps[k]}(value|position)`, byte-identical to
+/// `chain_from_value(hasher, value, position, steps[k])`.
 ///
-/// Each returned digest is byte-identical to
-/// `chain_from_value(hasher, value, position, steps)`.
-pub fn chain_run(hasher: &Hasher, value: &[u8], tags: &[(u32, u64)]) -> Vec<Digest> {
-    let mut buf = Vec::with_capacity(value.len() + 4);
-    buf.extend_from_slice(value);
-    buf.extend_from_slice(&[0u8; 4]);
-    tags.iter()
+/// Steps may come in any order and may repeat; a chain costs
+/// `1 + max(steps)` hash applications however many points it yields. This
+/// is the optimized-mode shape (Section 5.1): the `m+1` digit chains of
+/// one key differ only in their position tag, and the canonical digest,
+/// the `m` preferred representations and a boundary proof's evidence all
+/// read their digests off those same chains.
+pub fn chain_points<const K: usize>(
+    hasher: &Hasher,
+    value: &[u8],
+    chains: &[(u32, [u64; K])],
+) -> Vec<[Digest; K]> {
+    let mut buf = tagged(value, 0);
+    chains
+        .iter()
         .map(|&(position, steps)| {
             buf[value.len()..].copy_from_slice(&position.to_le_bytes());
-            let mut d = hasher.hash(HashDomain::Value, &buf);
-            for _ in 0..steps {
-                d = hasher.hash(HashDomain::Step, d.as_bytes());
+            let mut walker = ChainWalker::from_tagged(hasher, &buf);
+            let mut order: [usize; K] = std::array::from_fn(|k| k);
+            order.sort_unstable_by_key(|&k| steps[k]);
+            let mut out = [walker.at(0); K];
+            for k in order {
+                out[k] = walker.at(steps[k]);
             }
-            d
+            out
         })
         .collect()
 }
@@ -84,7 +95,13 @@ pub struct ChainWalker<'a> {
 impl<'a> ChainWalker<'a> {
     /// Starts a walker at `h^0(value|position)`.
     pub fn new(hasher: &'a Hasher, value: &[u8], position: u32) -> Self {
-        let current = hasher.hash(HashDomain::Value, &tagged(value, position));
+        Self::from_tagged(hasher, &tagged(value, position))
+    }
+
+    /// Starts a walker at `h^0` of an already tagged pre-image `r|j`.
+    #[inline]
+    fn from_tagged(hasher: &'a Hasher, tagged: &[u8]) -> Self {
+        let current = hasher.hash(HashDomain::Value, tagged);
         ChainWalker {
             hasher,
             current,
@@ -96,6 +113,7 @@ impl<'a> ChainWalker<'a> {
     ///
     /// # Panics
     /// If asked to move backwards (chains are one-way).
+    #[inline]
     pub fn at(&mut self, steps: u64) -> Digest {
         assert!(
             steps >= self.steps,
@@ -150,13 +168,21 @@ mod tests {
     }
 
     #[test]
-    fn chain_run_matches_singles() {
+    fn chain_points_match_singles() {
         let h = Hasher::default();
-        let tags = [(0u32, 0u64), (1, 5), (0x8000_0002, 13), (3, 1)];
-        let bulk = chain_run(&h, b"shared-key", &tags);
+        // Unsorted and repeated steps, and a zero-step point.
+        let chains = [
+            (0u32, [0u64, 0, 0]),
+            (1, [5, 2, 7]),
+            (0x8000_0002, [13, 13, 4]),
+            (3, [1, 0, 1]),
+        ];
+        let bulk = chain_points(&h, b"shared-key", &chains);
         assert_eq!(bulk.len(), 4);
-        for (d, &(pos, steps)) in bulk.iter().zip(&tags) {
-            assert_eq!(*d, chain_from_value(&h, b"shared-key", pos, steps));
+        for (points, &(pos, steps)) in bulk.iter().zip(&chains) {
+            for (d, &s) in points.iter().zip(&steps) {
+                assert_eq!(*d, chain_from_value(&h, b"shared-key", pos, s));
+            }
         }
     }
 
@@ -230,6 +256,19 @@ mod tests {
             let mut w = ChainWalker::new(&h, b"x", 0);
             let _ = w.at(10);
             let _ = w.at(20);
+        }));
+    }
+
+    #[test]
+    fn chain_points_walk_each_chain_once() {
+        let h = Hasher::default();
+        // (1 + 7) + (1 + 13) + (1 + 0): the largest step of each chain.
+        assert!(exact_ops(23, || {
+            let _ = chain_points(
+                &h,
+                b"x",
+                &[(0, [7, 2, 5]), (1, [13, 13, 0]), (2, [0, 0, 0])],
+            );
         }));
     }
 

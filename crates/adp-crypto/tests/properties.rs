@@ -4,7 +4,7 @@
 
 use adp_crypto::bigint::{is_probable_prime, BigUint};
 use adp_crypto::{
-    chain_extend, chain_from_value, chain_run, hasher::HashDomain, root_from_mixed,
+    chain_extend, chain_from_value, chain_points, hasher::HashDomain, root_from_mixed,
     root_from_range, verify_inclusion, AggregateSignature, Hasher, Keypair, MerkleTree, MixedLeaf,
     MontgomeryCtx,
 };
@@ -259,12 +259,17 @@ proptest! {
     }
 
     #[test]
-    fn chain_run_agrees_with_singles(tags in prop::collection::vec(any::<u32>(), 0..6), steps in 0u64..30) {
+    fn chain_points_agree_with_singles(
+        chains in prop::collection::vec((any::<u32>(), 0u64..30, 0u64..30, 0u64..30), 0..6),
+    ) {
         let h = Hasher::default();
-        let pairs: Vec<(u32, u64)> = tags.iter().map(|&t| (t, steps)).collect();
-        let bulk = chain_run(&h, b"prop-value", &pairs);
-        for (d, &(pos, st)) in bulk.iter().zip(&pairs) {
-            prop_assert_eq!(*d, chain_from_value(&h, b"prop-value", pos, st));
+        let chains: Vec<(u32, [u64; 3])> = chains.iter().map(|&(t, a, b, c)| (t, [a, b, c])).collect();
+        let bulk = chain_points(&h, b"prop-value", &chains);
+        prop_assert_eq!(bulk.len(), chains.len());
+        for (points, &(pos, steps)) in bulk.iter().zip(&chains) {
+            for (d, &st) in points.iter().zip(&steps) {
+                prop_assert_eq!(*d, chain_from_value(&h, b"prop-value", pos, st));
+            }
         }
     }
 
