@@ -19,7 +19,7 @@
 //! See `docs/PERFORMANCE.md` for how to read the snapshot.
 
 use adp_core::delta::{build_delta_pieces, dirty_intervals};
-use adp_core::gdigest::{direction_commitment, Direction};
+use adp_core::gdigest::{direction_commitment, entry_component, Direction};
 use adp_core::prelude::*;
 use adp_crypto::{
     chain_extend, chain_from_value, sha256::sha256, AggregateSignature, HashDomain, Hasher,
@@ -41,6 +41,7 @@ pub const EXPECTED_BENCHES: &[&str] = &[
     "chain/from_value_64steps",
     "chain/extend_1000steps",
     "gdigest/direction_commitment_b2_m16",
+    "gdigest/entry_component_b2_m16",
     "merkle/build_1000",
     "rsa512/sign_crt",
     "rsa512/verify",
@@ -101,20 +102,39 @@ fn run_benches() -> Vec<(String, f64)> {
 
     // One owner-side direction commitment (Figure 7) at B=2, m=16: one
     // walk per digit chain plus the 16 preferred-representation digests.
+    // Then the verifier-side recomputation of the same component for a
+    // result entry (Figure 8b): 17 chains read at one point each, the
+    // canonical representation digest and the combine with the rep root.
     {
         let domain = Domain::new(0, 100_044);
         let config = SchemeConfig::default();
         let radix = config.radix(&domain);
+        let commit = |key| {
+            direction_commitment(
+                &hasher,
+                &config,
+                radix.as_ref(),
+                &domain,
+                key,
+                Direction::Up,
+            )
+        };
         record(
             "gdigest/direction_commitment_b2_m16",
+            measure(n, || commit(std::hint::black_box(57_321))),
+        );
+        let rep_root = commit(57_321).rep_tree.map(|t| t.root());
+        record(
+            "gdigest/entry_component_b2_m16",
             measure(n, || {
-                direction_commitment(
+                entry_component(
                     &hasher,
                     &config,
                     radix.as_ref(),
                     &domain,
                     std::hint::black_box(57_321),
                     Direction::Up,
+                    rep_root,
                 )
             }),
         );

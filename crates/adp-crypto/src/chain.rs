@@ -15,7 +15,7 @@
 //! choosing `h` with output length different from `|r|`).
 
 use crate::digest::Digest;
-use crate::hasher::{HashDomain, Hasher};
+use crate::hasher::{count_ops, HashDomain, Hasher, StepBlock};
 
 /// Encodes the tagged pre-image `r|j` of a digit chain.
 #[inline]
@@ -29,11 +29,24 @@ fn tagged(value: &[u8], position: u32) -> Vec<u8> {
 /// Computes `h^steps(value|position)`, i.e. `steps + 1` hash applications
 /// starting from the tagged plaintext value.
 pub fn chain_from_value(hasher: &Hasher, value: &[u8], position: u32, steps: u64) -> Digest {
-    let mut d = hasher.hash(HashDomain::Value, &tagged(value, position));
-    for _ in 0..steps {
-        d = hasher.hash(HashDomain::Step, d.as_bytes());
+    count_ops(1 + steps);
+    let d = hasher.hash_parts_uncounted(HashDomain::Value, &[&tagged(value, position)]);
+    walk(hasher, d, steps)
+}
+
+/// `steps` uncounted chain steps from `d`. Every step truncates to the
+/// hasher's digest length, so a digest of another length (a wire decoder
+/// accepts any of 16..=32 bytes) takes its first step on its own.
+fn walk(hasher: &Hasher, mut d: Digest, mut steps: u64) -> Digest {
+    if steps > 0 && d.len() != hasher.digest_len() {
+        d = hasher.hash_parts_uncounted(HashDomain::Step, &[d.as_bytes()]);
+        steps -= 1;
     }
-    d
+    let mut block = StepBlock::new(&d);
+    for _ in 0..steps {
+        block.step();
+    }
+    block.digest()
 }
 
 /// Walks a run of tagged chains sharing one value, each **once**, and reads
@@ -53,21 +66,28 @@ pub fn chain_points<const K: usize>(
     value: &[u8],
     chains: &[(u32, [u64; K])],
 ) -> Vec<[Digest; K]> {
-    let mut buf = tagged(value, 0);
-    chains
-        .iter()
-        .map(|&(position, steps)| {
-            buf[value.len()..].copy_from_slice(&position.to_le_bytes());
-            let mut walker = ChainWalker::from_tagged(hasher, &buf);
-            let mut order: [usize; K] = std::array::from_fn(|k| k);
-            order.sort_unstable_by_key(|&k| steps[k]);
-            let mut out = [walker.at(0); K];
-            for k in order {
-                out[k] = walker.at(steps[k]);
+    let mut out = Vec::with_capacity(chains.len());
+    let mut ops = 0;
+    hasher.chain_starts(value, chains.iter().map(|&(tag, _)| tag), |mut block| {
+        let steps = chains[out.len()].1;
+        let last = steps.into_iter().max().unwrap_or(0);
+        let mut points = [block.digest(); K];
+        for at in 1..=last {
+            block.step();
+            if steps.contains(&at) {
+                let d = block.digest();
+                for (point, &s) in points.iter_mut().zip(&steps) {
+                    if s == at {
+                        *point = d;
+                    }
+                }
             }
-            out
-        })
-        .collect()
+        }
+        ops += 1 + last;
+        out.push(points);
+    });
+    count_ops(ops);
+    out
 }
 
 /// Extends an intermediate chain digest by `extra` further applications.
@@ -75,74 +95,15 @@ pub fn chain_points<const K: usize>(
 /// This is the user-side operation of Figure 4: the publisher transmits
 /// `h^{δ_e}(r|j)` and the user derives `h^{δ_e + extra}(r|j)`.
 pub fn chain_extend(hasher: &Hasher, digest: Digest, extra: u64) -> Digest {
-    let mut d = digest;
-    for _ in 0..extra {
-        d = hasher.hash(HashDomain::Step, d.as_bytes());
-    }
-    d
-}
-
-/// A memoizing walker over one tagged chain, letting the owner pick up
-/// several intermediate points (`h^{δ}`, `h^{δ+B-1}`, `h^{δ+B}`, …) while
-/// hashing each prefix only once.
-pub struct ChainWalker<'a> {
-    hasher: &'a Hasher,
-    current: Digest,
-    /// Number of *steps* taken so far (`h^{steps}` reached).
-    steps: u64,
-}
-
-impl<'a> ChainWalker<'a> {
-    /// Starts a walker at `h^0(value|position)`.
-    pub fn new(hasher: &'a Hasher, value: &[u8], position: u32) -> Self {
-        Self::from_tagged(hasher, &tagged(value, position))
-    }
-
-    /// Starts a walker at `h^0` of an already tagged pre-image `r|j`.
-    #[inline]
-    fn from_tagged(hasher: &'a Hasher, tagged: &[u8]) -> Self {
-        let current = hasher.hash(HashDomain::Value, tagged);
-        ChainWalker {
-            hasher,
-            current,
-            steps: 0,
-        }
-    }
-
-    /// Advances to `h^steps` and returns that digest.
-    ///
-    /// # Panics
-    /// If asked to move backwards (chains are one-way).
-    #[inline]
-    pub fn at(&mut self, steps: u64) -> Digest {
-        assert!(
-            steps >= self.steps,
-            "hash chains cannot be walked backwards"
-        );
-        while self.steps < steps {
-            self.current = self.hasher.hash(HashDomain::Step, self.current.as_bytes());
-            self.steps += 1;
-        }
-        self.current
-    }
-
-    /// Current position (number of steps taken).
-    pub fn position(&self) -> u64 {
-        self.steps
-    }
+    count_ops(extra);
+    walk(hasher, digest, extra)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hasher::{hash_ops, Hasher};
-
-    /// The hash-op counter is process-global; serialize the tests that
-    /// assert exact op counts so parallel tests cannot pollute them.
-    fn count_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::hasher::tests::exact_ops;
+    use crate::hasher::Hasher;
 
     #[test]
     fn zero_steps_is_one_application() {
@@ -217,45 +178,19 @@ mod tests {
     }
 
     #[test]
-    fn walker_matches_direct() {
+    fn points_of_one_chain_match_direct() {
+        // Several points off one walk, including a repeated one, at the
+        // cost of walking to the furthest: 1 initial application + 9 steps.
         let h = Hasher::default();
-        let mut w = ChainWalker::new(&h, b"walk", 3);
-        assert_eq!(w.at(0), chain_from_value(&h, b"walk", 3, 0));
-        assert_eq!(w.at(2), chain_from_value(&h, b"walk", 3, 2));
-        assert_eq!(w.at(2), chain_from_value(&h, b"walk", 3, 2)); // idempotent
-        assert_eq!(w.at(9), chain_from_value(&h, b"walk", 3, 9));
-        assert_eq!(w.position(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn walker_cannot_go_back() {
-        let h = Hasher::default();
-        let mut w = ChainWalker::new(&h, b"walk", 0);
-        let _ = w.at(5);
-        let _ = w.at(4);
-    }
-
-    /// Measures `f`'s hash-op count, retrying because the process-global
-    /// counter can be inflated by tests hashing in parallel threads; an
-    /// undisturbed trial yields the exact count.
-    fn exact_ops(expected: u64, f: impl Fn()) -> bool {
-        let _guard = count_lock();
-        (0..100).any(|_| {
-            let before = hash_ops();
-            f();
-            hash_ops() - before == expected
-        })
-    }
-
-    #[test]
-    fn walker_saves_hash_ops() {
-        let h = Hasher::default();
-        // 1 initial application + 20 steps.
-        assert!(exact_ops(21, || {
-            let mut w = ChainWalker::new(&h, b"x", 0);
-            let _ = w.at(10);
-            let _ = w.at(20);
+        let steps = [0u64, 2, 2, 9];
+        let [points] = chain_points(&h, b"walk", &[(3, steps)])[..] else {
+            panic!("one chain in, one result out");
+        };
+        for (d, s) in points.iter().zip(steps) {
+            assert_eq!(*d, chain_from_value(&h, b"walk", 3, s), "step {s}");
+        }
+        assert!(exact_ops(10, || {
+            let _ = chain_points(&h, b"walk", &[(3, steps)]);
         }));
     }
 
@@ -269,6 +204,42 @@ mod tests {
                 b"x",
                 &[(0, [7, 2, 5]), (1, [13, 13, 0]), (2, [0, 0, 0])],
             );
+        }));
+    }
+
+    #[test]
+    fn three_chain_walk_is_counted_once() {
+        // One atomic add per call covers every chain: (1 + 3) + (1 + 11) +
+        // (1 + 20).
+        let h = Hasher::default();
+        let chains = [(0u32, [3u64]), (1, [11]), (2, [20])];
+        assert!(exact_ops(37, || {
+            let _ = chain_points(&h, b"x", &chains);
+        }));
+        for (points, &(pos, [s])) in chain_points(&h, b"x", &chains).iter().zip(&chains) {
+            assert_eq!(points[0], chain_from_value(&h, b"x", pos, s));
+        }
+    }
+
+    #[test]
+    fn extension_truncates_a_foreign_length_digest() {
+        // Each step is one `h` under the `Step` domain truncated to the
+        // hasher's length, whatever the length of the digest it starts from.
+        let h = Hasher::new(16);
+        let wide = Hasher::new(32).hash(HashDomain::Data, b"x");
+        let mut expected = wide;
+        for steps in 0..4 {
+            assert_eq!(chain_extend(&h, wide, steps), expected, "steps={steps}");
+            expected = h.hash(HashDomain::Step, expected.as_bytes());
+        }
+    }
+
+    #[test]
+    fn zero_extension_costs_nothing() {
+        let h = Hasher::default();
+        let d = chain_from_value(&h, b"x", 0, 3);
+        assert!(exact_ops(0, || {
+            assert_eq!(chain_extend(&h, d, 0), d);
         }));
     }
 

@@ -42,6 +42,18 @@ impl Digest {
         }
     }
 
+    /// The first `len` bytes of `bytes` as a digest, copied at full width:
+    /// the bytes past `len` ride along but are never read, since equality,
+    /// ordering, hashing and display all go through [`Self::as_bytes`].
+    #[inline]
+    pub(crate) fn from_prefix(bytes: &[u8; MAX_DIGEST_LEN], len: usize) -> Self {
+        debug_assert!((MIN_DIGEST_LEN..=MAX_DIGEST_LEN).contains(&len));
+        Digest {
+            bytes: *bytes,
+            len: len as u8,
+        }
+    }
+
     /// The active digest bytes.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
@@ -128,6 +140,20 @@ mod tests {
         raw[..16].copy_from_slice(&[1u8; 16]);
         let b = Digest::from_bytes(&raw[..16]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn prefix_ignores_trailing_bytes() {
+        use std::hash::{BuildHasher, RandomState};
+        let mut full = [0x3cu8; 32];
+        full[20..].fill(0xee);
+        let wide = Digest::from_prefix(&full, 20);
+        let exact = Digest::from_bytes(&full[..20]);
+        assert_eq!(wide, exact);
+        assert_eq!(wide.cmp(&exact), std::cmp::Ordering::Equal);
+        assert_eq!(wide.to_hex(), exact.to_hex());
+        let state = RandomState::new();
+        assert_eq!(state.hash_one(wide), state.hash_one(exact));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod sha256;
 
 pub use aggregate::AggregateSignature;
 pub use bigint::BigUint;
-pub use chain::{chain_extend, chain_from_value, chain_points, ChainWalker};
+pub use chain::{chain_extend, chain_from_value, chain_points};
 pub use digest::Digest;
 pub use hasher::{hash_ops, reset_hash_ops, HashDomain, Hasher};
 pub use merkle::{

@@ -18,7 +18,11 @@
 //! * on x86-64 CPUs with the SHA extensions, whole-block runs go through a
 //!   hardware kernel built on `sha256rnds2`/`sha256msg1`/`sha256msg2`
 //!   (runtime-detected once, scalar fallback everywhere else) — a ~3–5×
-//!   speedup that feeds every chain, Merkle, and FDH operation above.
+//!   speedup that feeds every chain, Merkle, and FDH operation above;
+//! * a message of at most 55 bytes — every chain step, tagged value,
+//!   Merkle node and FDH counter block — is padded into one block by its
+//!   caller and compressed once from `H0` (`one_block`), with no streaming
+//!   state, buffer copies or finalization.
 //!
 //! Callers either feed bytes incrementally through [`Sha256::update`] or use
 //! the one-shot [`sha256`] helper.
@@ -53,6 +57,36 @@ fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         return;
     }
     compress_blocks_scalar(state, data);
+}
+
+/// Longest message that fits one padded block: 64 bytes less the `0x80`
+/// marker and the 8-byte bit length.
+pub(crate) const ONE_BLOCK_MAX: usize = 55;
+
+/// Writes the FIPS 180-4 padding of a `len`-byte message (`len` ≤
+/// [`ONE_BLOCK_MAX`]) whose bytes sit at the front of an otherwise zeroed
+/// `block`.
+pub(crate) fn pad_one_block(block: &mut [u8; 64], len: usize) {
+    debug_assert!(len <= ONE_BLOCK_MAX);
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+}
+
+/// The SHA-256 digest of a message padded into one block (see
+/// [`pad_one_block`]): a single compression from `H0`.
+pub(crate) fn one_block(block: &[u8; 64]) -> [u8; 32] {
+    let mut state = H0;
+    compress_blocks(&mut state, block);
+    state_bytes(&state)
+}
+
+/// The big-endian digest bytes of a final state.
+fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (o, w) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&w.to_be_bytes());
+    }
+    out
 }
 
 /// Portable block compression (FIPS 180-4 §6.2.2), one block per iteration.
@@ -285,11 +319,7 @@ impl Sha256 {
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         compress_blocks(&mut self.state, &block);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+        state_bytes(&self.state)
     }
 
     /// Writes the 0x80 marker and zeroes, compressing once if the length
@@ -407,6 +437,24 @@ mod tests {
             compress_blocks(&mut fast, &data);
             compress_blocks_scalar(&mut scalar, &data);
             assert_eq!(fast, scalar, "blocks={blocks}");
+        }
+    }
+
+    /// A padded one-block message of `len` bytes derived from `seed`.
+    fn padded(len: usize, seed: u8) -> [u8; 64] {
+        let mut block = [0u8; 64];
+        for (i, b) in block[..len].iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(seed).wrapping_add(seed);
+        }
+        pad_one_block(&mut block, len);
+        block
+    }
+
+    #[test]
+    fn one_block_matches_streaming_up_to_55_bytes() {
+        for len in 0..=ONE_BLOCK_MAX {
+            let block = padded(len, 7);
+            assert_eq!(one_block(&block), sha256(&block[..len]), "len={len}");
         }
     }
 }

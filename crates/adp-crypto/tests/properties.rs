@@ -3,6 +3,7 @@
 //! and signature scheme round-trips.
 
 use adp_crypto::bigint::{is_probable_prime, BigUint};
+use adp_crypto::sha256::Sha256;
 use adp_crypto::{
     chain_extend, chain_from_value, chain_points, hasher::HashDomain, root_from_mixed,
     root_from_range, verify_inclusion, AggregateSignature, Hasher, Keypair, MerkleTree, MixedLeaf,
@@ -19,6 +20,79 @@ fn keypair() -> &'static Keypair {
         let mut rng = StdRng::seed_from_u64(0x9909);
         Keypair::generate(512, &mut rng)
     })
+}
+
+/// Checks `chain_points` against one `chain_from_value` per point.
+fn assert_points_match<const K: usize>(h: &Hasher, value: &[u8], chains: &[(u32, [u64; K])]) {
+    let bulk = chain_points(h, value, chains);
+    assert_eq!(bulk.len(), chains.len());
+    for (points, &(pos, steps)) in bulk.iter().zip(chains) {
+        for (d, &s) in points.iter().zip(&steps) {
+            assert_eq!(
+                *d,
+                chain_from_value(h, value, pos, s),
+                "tag {pos:#x} step {s}"
+            );
+        }
+    }
+}
+
+#[test]
+fn chain_points_match_singles_at_every_count() {
+    // Every chain count up to 20, with uneven targets, at both ends of the
+    // digest-length range. A 60-byte value is too long for its tagged
+    // message to fit one block and takes the streaming path.
+    let long = [0xa5u8; 60];
+    for (h, value) in [
+        (Hasher::new(16), &b"chain-value"[..]),
+        (Hasher::new(32), &b"chain-value"[..]),
+        (Hasher::new(16), &long[..]),
+    ] {
+        for count in 0..=20u32 {
+            let target = |i: u32| u64::from((i * 7 + count) % 13 + (i % 2) * 3 * (count % 3));
+            let k1: Vec<(u32, [u64; 1])> = (0..count).map(|i| (i, [target(i)])).collect();
+            let k3: Vec<(u32, [u64; 3])> = (0..count)
+                .map(|i| (0x8000_0000 | i, [target(i), 0, target(i + 1) / 2]))
+                .collect();
+            assert_points_match(&h, value, &k1);
+            assert_points_match(&h, value, &k3);
+        }
+    }
+}
+
+/// The FDH expansion as one streaming hash per counter, the construction
+/// `Hasher::expand` has always computed (its op counting omitted).
+fn expand_reference(seed: &[u8], out_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(out_len);
+    let mut counter = 0u32;
+    while out.len() < out_len {
+        let mut h = Sha256::new();
+        h.update(&[HashDomain::Sig as u8]);
+        h.update(&counter.to_le_bytes());
+        h.update(seed);
+        let block = h.finalize();
+        let take = (out_len - out.len()).min(block.len());
+        out.extend_from_slice(&block[..take]);
+        counter += 1;
+    }
+    out
+}
+
+#[test]
+fn expand_matches_per_counter_reference() {
+    // 16- and 32-byte seeds take the one-block path; a 60-byte seed does
+    // not fit a block and streams.
+    let h = Hasher::default();
+    for seed in [&[0x11u8; 16][..], &[0x22u8; 32][..], &[0x33u8; 60][..]] {
+        for n in 1..=300 {
+            assert_eq!(
+                h.expand(seed, n),
+                expand_reference(seed, n),
+                "seed {} n {n}",
+                seed.len()
+            );
+        }
+    }
 }
 
 prop_compose! {
@@ -260,9 +334,10 @@ proptest! {
 
     #[test]
     fn chain_points_agree_with_singles(
-        chains in prop::collection::vec((any::<u32>(), 0u64..30, 0u64..30, 0u64..30), 0..6),
+        chains in prop::collection::vec((any::<u32>(), 0u64..30, 0u64..30, 0u64..30), 0..21),
+        wide in any::<bool>(),
     ) {
-        let h = Hasher::default();
+        let h = Hasher::new(if wide { 32 } else { 16 });
         let chains: Vec<(u32, [u64; 3])> = chains.iter().map(|&(t, a, b, c)| (t, [a, b, c])).collect();
         let bulk = chain_points(&h, b"prop-value", &chains);
         prop_assert_eq!(bulk.len(), chains.len());
